@@ -19,10 +19,7 @@ from .maps import (
     build_F,
     build_family,
     eval_pushforward,
-    eval_word,
     family_in_regime,
-    invert_word,
-    jet_of_word,
     map_from_spec,
     project_pi,
     push_forward,

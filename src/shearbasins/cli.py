@@ -172,14 +172,14 @@ def _check_maps(report: Report, params: Params, word: MapWord, rng: random.Rando
     report.add("maps.normal_form", form.passed, defect=defect,
                note="all five form checks pass" if form.passed else f"failed: {failed}")
 
-    round_trip = word.inverse().then(word)
-    jet_defect = round_trip.jet(6).minus_identity().max_abs_diff(
+    inverse = word.inverse()
+    jet_defect = inverse.then(word).jet(6).minus_identity().max_abs_diff(
         JetMap([Jet(3, 6, {}) for _ in range(3)])
     )
     num_defect = 0.0
     for _ in range(100):
         p = dyn.sample_ball_point(rng, 3, 0.5)
-        q = word.inverse()(word(p))
+        q = inverse(word(p))
         num_defect = max(num_defect, max(abs(a - b) for a, b in zip(p, q)))
     worst = max(jet_defect, num_defect)
     report.add("maps.automorphism_inverse", worst <= 1e-12, defect=worst, tolerance=1e-12,
@@ -617,10 +617,11 @@ def cmd_family(ns) -> int:
     report = verify_normal_form(word.jet(order), weights, w_coeff, note_literal_remainder=True)
 
     rng = random.Random(int(ns.seed or 0))
+    inverse = word.inverse()
     worst = 0.0
     for _ in range(50):
         p = dyn.sample_ball_point(rng, k + 1, 0.5)
-        q = word.inverse()(word(p))
+        q = inverse(word(p))
         worst = max(worst, max(abs(a - b) for a, b in zip(p, q)))
     report.add("automorphism_inverse", worst <= 1e-12, defect=worst, tolerance=1e-12,
                note="50 sampled round trips")

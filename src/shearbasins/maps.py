@@ -33,9 +33,6 @@ import numpy as np
 from .jets import DimensionError, DomainError, Jet, JetMap
 from .report import Report
 
-_NAN = complex(math.nan, math.nan)
-
-
 def _cexp(x: complex) -> complex:
     try:
         return cmath.exp(x)
@@ -89,6 +86,61 @@ _INVERSE_KIND = {
     ElementaryKind.TWIST_INV: ElementaryKind.TWIST,
 }
 
+# The closed form of each kind, written once for complex scalars and numpy
+# arrays: the coordinate it rewrites ("w", or every z_i with weight {a}) and
+# its new value, with {exp} = _cexp or np.exp and {rate} = {total} + w_coeff.
+_FORMULAS = {
+    ElementaryKind.SHEAR: ("w", "w - zeta"),
+    ElementaryKind.SHEAR_INV: ("w", "w + zeta"),
+    ElementaryKind.OVERSHEAR: ("z", "{z} * {exp}({a} * w)"),
+    ElementaryKind.OVERSHEAR_INV: ("z", "{z} * {exp}(-{a} * w)"),
+    ElementaryKind.TWIST: ("w", "w * {exp}(-{rate} * zeta) + {total} * zeta * zeta"),
+    ElementaryKind.TWIST_INV: ("w", "(w - {total} * zeta * zeta) * {exp}({rate} * zeta)"),
+}
+
+
+def _compile(factors: Sequence[ElementaryMap]):
+    """Straight-line scalar and batch steps of the word ``factors``."""
+    zs = [f"z{i}" for i in range(len(factors[0].weights))]
+    coords = ", ".join([*zs, "w"])
+    namespace = {"_cexp": _cexp, "np": np, "DimensionError": DimensionError}
+
+    def body(exp: str, zeta: str, indent: str) -> str:
+        lines, zeta_valid = [], False
+        for j, factor in enumerate(reversed(factors)):
+            target, formula = _FORMULAS[factor.kind]
+            total = sum(factor.weights)
+            namespace.update({f"rate{j}": total + factor.w_coeff, f"total{j}": total})
+            namespace.update({f"a{j}_{i}": a for i, a in enumerate(factor.weights)})
+            if "zeta" in formula and not zeta_valid:
+                lines.append(f"zeta = {zeta}")
+                zeta_valid = True
+            names = {"exp": exp, "rate": f"rate{j}", "total": f"total{j}"}
+            if target == "w":
+                lines.append("w = " + formula.format(**names))
+            else:
+                lines += [f"{z} = " + formula.format(z=z, a=f"a{j}_{i}", **names) for i, z in enumerate(zs)]
+                zeta_valid = False
+        return "".join(f"\n{indent}{line}" for line in lines)
+
+    scalar_body = body("_cexp", "(1+0j) * " + " * ".join(zs), "    ")
+    batch_body = body("np.exp", " * ".join(zs), "        ")
+    exec(f"""
+def step(p):
+    try:
+        {coords} = p
+    except ValueError:
+        raise DimensionError(f"point has {{len(p)}} coordinates, expected {len(zs) + 1}") from None
+    {coords} = {", ".join(f"complex({x})" for x in [*zs, "w"])}{scalar_body}
+    return ({coords},)
+
+def batch(coords):
+    {coords} = coords
+    with np.errstate(over="ignore", invalid="ignore", under="ignore"):{batch_body}
+    return [{coords}]
+""", namespace)
+    return namespace["step"], namespace["batch"]
+
 
 @dataclass(frozen=True)
 class ElementaryMap:
@@ -106,50 +158,10 @@ class ElementaryMap:
         return ElementaryMap(_INVERSE_KIND[self.kind], self.weights, self.w_coeff)
 
     def __call__(self, p: Sequence[complex]) -> tuple[complex, ...]:
-        if len(p) != self.dim:
-            raise DimensionError(f"point has {len(p)} coordinates, expected {self.dim}")
-        k = len(self.weights)
-        zs, w = tuple(p[:k]), p[k]
-        zeta = 1.0 + 0j
-        for z in zs:
-            zeta *= z
-        kind = self.kind
-        if kind is ElementaryKind.SHEAR:
-            return (*zs, w - zeta)
-        if kind is ElementaryKind.SHEAR_INV:
-            return (*zs, w + zeta)
-        if kind is ElementaryKind.OVERSHEAR:
-            return (*(z * _cexp(a * w) for z, a in zip(zs, self.weights)), w)
-        if kind is ElementaryKind.OVERSHEAR_INV:
-            return (*(z * _cexp(-a * w) for z, a in zip(zs, self.weights)), w)
-        total = sum(self.weights)
-        rate = total + self.w_coeff
-        if kind is ElementaryKind.TWIST:
-            return (*zs, w * _cexp(-rate * zeta) + total * zeta * zeta)
-        return (*zs, (w - total * zeta * zeta) * _cexp(rate * zeta))
+        return MapWord((self,))(p)
 
     def eval_batch(self, coords: list[np.ndarray]) -> list[np.ndarray]:
-        """Elementwise closed form on coordinate arrays (overflow -> inf)."""
-        k = len(self.weights)
-        zs, w = coords[:k], coords[k]
-        zeta = zs[0].copy()
-        for z in zs[1:]:
-            zeta = zeta * z
-        kind = self.kind
-        with np.errstate(over="ignore", invalid="ignore", under="ignore"):
-            if kind is ElementaryKind.SHEAR:
-                return [*zs, w - zeta]
-            if kind is ElementaryKind.SHEAR_INV:
-                return [*zs, w + zeta]
-            if kind is ElementaryKind.OVERSHEAR:
-                return [*(z * np.exp(a * w) for z, a in zip(zs, self.weights)), w]
-            if kind is ElementaryKind.OVERSHEAR_INV:
-                return [*(z * np.exp(-a * w) for z, a in zip(zs, self.weights)), w]
-            total = sum(self.weights)
-            rate = total + self.w_coeff
-            if kind is ElementaryKind.TWIST:
-                return [*zs, w * np.exp(-rate * zeta) + total * zeta * zeta]
-            return [*zs, (w - total * zeta * zeta) * np.exp(rate * zeta)]
+        return MapWord((self,)).eval_batch(coords)
 
     def jet(self, order: int) -> JetMap:
         n = self.dim
@@ -175,32 +187,43 @@ class ElementaryMap:
 
 @dataclass(frozen=True)
 class MapWord:
-    """Composition word; ``factors[0]`` is applied last, ``factors[-1]`` first."""
+    """Composition word; ``factors[0]`` is applied last, ``factors[-1]`` first.
+
+    Construction compiles the word from ``_FORMULAS`` into one straight-line
+    scalar step (``__call__``) and one numpy batch step (``eval_batch``).
+    Both do the float operations of applying the factors' closed forms one
+    by one, in the same order: the scalar zeta product starts from (1+0j),
+    weights enter as the float-complex products a * w and -a * w, _cexp
+    turns overflow into inf, and the twist's total is sum(weights) from int
+    0.  A zeta product is reused only across factors that leave every z_i
+    unchanged.  The batch step runs inside np.errstate, so overflow gives
+    inf or nan without a RuntimeWarning.  Equality, hashing and pickling
+    use ``factors`` only; unpickling compiles again.
+    """
 
     factors: tuple[ElementaryMap, ...]
 
     def __post_init__(self):
         if not self.factors:
             raise DimensionError("a map word needs at least one factor")
-        dims = {f.dim for f in self.factors}
-        if len(dims) != 1:
-            raise DimensionError("all factors must act on the same space")
+        if len({f.dim for f in self.factors}) != 1 or self.dim < 2:
+            raise DimensionError("all factors must act on the same space C^{k+1}, k >= 1")
+        step, batch = _compile(self.factors)
+        object.__setattr__(self, "_step", step)
+        object.__setattr__(self, "_batch", batch)
+
+    def __reduce__(self):
+        return (MapWord, (self.factors,))
 
     @property
     def dim(self) -> int:
         return self.factors[0].dim
 
     def __call__(self, p: Sequence[complex]) -> tuple[complex, ...]:
-        q = tuple(complex(x) for x in p)
-        for factor in reversed(self.factors):
-            q = factor(q)
-        return q
+        return self._step(p)
 
     def eval_batch(self, coords: list[np.ndarray]) -> list[np.ndarray]:
-        out = coords
-        for factor in reversed(self.factors):
-            out = factor.eval_batch(out)
-        return out
+        return self._batch(coords)
 
     def inverse(self) -> "MapWord":
         return MapWord(tuple(f.inverse() for f in reversed(self.factors)))
@@ -215,20 +238,6 @@ class MapWord:
             fj = factor.jet(order)
             result = fj if result is None else fj.compose(result)
         return result
-
-
-def eval_word(word: MapWord, p: Sequence[complex]) -> tuple[complex, ...]:
-    if len(p) != word.dim:
-        raise DimensionError(f"point has {len(p)} coordinates, expected {word.dim}")
-    return word(p)
-
-
-def invert_word(word: MapWord) -> MapWord:
-    return word.inverse()
-
-
-def jet_of_word(word: MapWord, order: int) -> JetMap:
-    return word.jet(order)
 
 
 def build_family(k: int, weights: Sequence[float], w_coeff: float) -> MapWord:
@@ -327,9 +336,10 @@ class PushforwardMap:
         return eval_pushforward(self.word, q)
 
     def eval_batch(self, coords: list[np.ndarray]) -> list[np.ndarray]:
-        s = np.sqrt(coords[0])
-        z, t, w = self.word.eval_batch([s, s, coords[1]])
-        return [z * t, w]
+        with np.errstate(over="ignore", invalid="ignore", under="ignore"):
+            s = np.sqrt(coords[0])
+            z, t, w = self.word.eval_batch([s, s, coords[1]])
+            return [z * t, w]
 
 
 # ----------------------------------------------------------------------

@@ -52,14 +52,6 @@ class Report:
         self.checks.append(result)
         return result
 
-    def merge(self, other: "Report", prefix: str = "") -> None:
-        for check in other.checks:
-            renamed = CheckResult(
-                prefix + check.name, check.status, check.defect, check.tolerance, check.note
-            )
-            self.checks.append(renamed)
-        self.notes.extend(other.notes)
-
     def __getitem__(self, name: str) -> CheckResult:
         for check in self.checks:
             if check.name == name:

@@ -9,6 +9,7 @@ actually cross within the iteration budget.
 import cmath
 import math
 import random
+import warnings
 
 import numpy as np
 import pytest
@@ -16,6 +17,7 @@ import pytest
 from shearbasins.dynamics import (
     CODE_CONVERGED,
     CODE_ESCAPED,
+    CODE_UNDECIDED,
     CONVERGED,
     ESCAPED,
     UNDECIDED,
@@ -29,6 +31,7 @@ from shearbasins.dynamics import (
     check_projection_statuses,
     check_semiconjugacy,
     check_trace_consistency,
+    classify_batch,
     estimate_tangent,
     iterate,
     petal_rate,
@@ -284,6 +287,42 @@ def test_lifted_raster_branch_independent():
     assert np.array_equal(plus.codes, minus.codes)
     assert np.array_equal(plus.iterations, minus.iterations)
     assert {CODE_CONVERGED, CODE_ESCAPED} <= set(np.unique(plus.codes))
+
+
+def test_classify_batch_matches_iterate_pixel_by_pixel():
+    """Both orbit engines give every start the same status and decision index."""
+    word = build_F(P113)
+    cfg = OrbitConfig(max_iter=400, eps_converged=0.05, record_stride=1000)
+    kwargs = dict(u_range=(-0.5, 0.4), v_range=(-0.3, 0.3), width=12, height=12)
+    slices = {
+        "lifted F3": (word, SliceSpec(base=(0j,) * 3, dir1=(0j,) * 3, dir2=(0j,) * 3,
+                                      lift="pos", w_fix=0.05 + 0j, **kwargs)),
+        "G": (PushforwardMap(word), SliceSpec(base=(0j, 0.05 + 0j), dir1=(1 + 0j, 0j),
+                                              dir2=(1j, 0j), **kwargs)),
+    }
+    code_of = {ESCAPED: CODE_ESCAPED, CONVERGED: CODE_CONVERGED, UNDECIDED: CODE_UNDECIDED}
+    for name, (map_obj, spec) in slices.items():
+        starts = [spec.start_point(u, v) for v in spec.axis_v() for u in spec.axis_u()]
+        coords = [np.array([p[i] for p in starts]) for i in range(map_obj.dim)]
+        codes, iters = classify_batch(map_obj, coords, cfg)
+        orbits = [iterate(map_obj, p, cfg).status for p in starts]
+        assert codes.tolist() == [code_of[s.kind] for s in orbits], name
+        assert iters.tolist() == [s.index for s in orbits], name
+        assert set(codes.tolist()) == {CODE_ESCAPED, CODE_CONVERGED, CODE_UNDECIDED}, name
+
+
+def test_rasters_of_the_word_raise_no_runtime_warnings():
+    """Overflow in the batch steps is counted as escape, not leaked as warnings."""
+    word = build_F(P113)
+    cfg = OrbitConfig(max_iter=500)
+    kwargs = dict(u_range=(-1.5, 0.5), v_range=(-1.0, 1.0), width=80, height=80)
+    lifted = SliceSpec(base=(0j,) * 3, dir1=(0j,) * 3, dir2=(0j,) * 3, lift="pos", **kwargs)
+    planar = SliceSpec(base=(0j, 0j), dir1=(1 + 0j, 0j), dir2=(1j, 0j), **kwargs)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        f3 = sample_slice(word, lifted, cfg)
+        g = sample_slice(PushforwardMap(word), planar, cfg)
+    assert f3.counts()["escaped"] > 0 and g.counts()["escaped"] > 0
 
 
 def test_product_prototype_zeta_raster_matches_1d_model():

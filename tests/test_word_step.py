@@ -1,0 +1,260 @@
+"""The compiled steps of a MapWord against an independent per-factor oracle.
+
+A MapWord compiles its factors into one straight-line scalar step and one
+numpy batch step.  The oracle below applies the closed forms of the ``maps``
+module docstring one factor at a time, in plain Python:
+
+    shear       (z, w) -> (z, w - zeta)
+    overshear   (z, w) -> (z_i * exp(a_i w), w)
+    twist       (z, w) -> (z, w * exp(-(A + b) zeta) + A zeta^2),  A = sum a_i
+
+with every inverse written out as well.  The compiled steps promise the
+same float operations in the same order, so they must match the oracle
+bit for bit, signed zeros and overflow to inf included.
+
+The batch step cannot match the scalar step bit for bit: numpy's complex
+product may round differently from Python's (its vector loops may use fused
+multiply-adds) and np.exp differs from cmath.exp near overflow.  The two are
+compared by which outputs are finite, and by value at the working scale of
+orbits and rasters.
+"""
+
+import cmath
+import math
+import pickle
+import struct
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from shearbasins.jets import DimensionError
+from shearbasins.maps import (
+    ElementaryKind,
+    ElementaryMap,
+    MapWord,
+    Params,
+    PushforwardMap,
+    build_F,
+    build_family,
+)
+
+K = ElementaryKind
+SETTINGS = settings(derandomize=True, database=None, deadline=None, max_examples=200)
+BATCH_SETTINGS = settings(SETTINGS, max_examples=60)
+
+
+def _words():
+    f3 = build_F(Params(1.0, 1.0, 3.0))
+    return {
+        "F3(1,1,3)": f3,
+        "F3(1,2,5)": build_F(Params(1.0, 2.0, 5.0)),
+        "K3 equal": build_family(3, (1.0, 1.0, 1.0), 4.0),
+        "K3 unequal": build_family(3, (0.5, 1.0, 2.0), 4.0),
+        "K4 equal": build_family(4, (1.0, 1.0, 1.0, 1.0), 5.0),
+        "K4 unequal": build_family(4, (0.5, 1.0, 1.5, 2.0), 7.0),
+        "F3 inverse": f3.inverse(),
+        "F3 inverse then F3": f3.inverse().then(f3),
+    }
+
+
+WORDS = _words()
+
+
+# ----------------------------------------------------------------------
+# the oracle
+
+
+def scalar_exp(x: complex) -> complex:
+    try:
+        return cmath.exp(x)
+    except (OverflowError, ValueError):
+        return complex(math.inf, math.inf)
+
+
+def apply_factor(f: ElementaryMap, zs: list, w, zeta, exp):
+    total = sum(f.weights)
+    rate = total + f.w_coeff
+    if f.kind is K.SHEAR:
+        return zs, w - zeta
+    if f.kind is K.SHEAR_INV:
+        return zs, w + zeta
+    if f.kind is K.OVERSHEAR:
+        return [z * exp(a * w) for z, a in zip(zs, f.weights)], w
+    if f.kind is K.OVERSHEAR_INV:
+        return [z * exp(-a * w) for z, a in zip(zs, f.weights)], w
+    if f.kind is K.TWIST:
+        return zs, w * exp(-rate * zeta) + total * zeta * zeta
+    return zs, (w - total * zeta * zeta) * exp(rate * zeta)
+
+
+def scalar_oracle(word: MapWord, p) -> tuple:
+    *zs, w = (complex(x) for x in p)
+    for f in reversed(word.factors):
+        zeta = 1.0 + 0j
+        for z in zs:
+            zeta *= z
+        zs, w = apply_factor(f, zs, w, zeta, scalar_exp)
+    return (*zs, w)
+
+
+def batch_oracle(word: MapWord, coords: list) -> list:
+    *zs, w = coords
+    with np.errstate(over="ignore", invalid="ignore", under="ignore"):
+        for f in reversed(word.factors):
+            zeta = zs[0]
+            for z in zs[1:]:
+                zeta = zeta * z
+            zs, w = apply_factor(f, zs, w, zeta, np.exp)
+    return [*zs, w]
+
+
+def bits(q) -> bytes:
+    return b"".join(struct.pack("<dd", x.real, x.imag) for x in q)
+
+
+def finite(q) -> bool:
+    return all(math.isfinite(x.real) and math.isfinite(x.imag) for x in q)
+
+
+# ----------------------------------------------------------------------
+# points
+
+
+def points(dim: int, min_radius: float = 0.3, max_radius: float = 300.0):
+    """Complex points of norm between the radii, log-uniformly spread."""
+    unit = st.floats(-1.0, 1.0, allow_nan=False)
+    return st.tuples(
+        st.lists(st.tuples(unit, unit), min_size=dim, max_size=dim),
+        st.floats(math.log(min_radius), math.log(max_radius)),
+    ).filter(lambda d: sum(x * x + y * y for x, y in d[0]) > 1e-6).map(lambda d: _scale(*d))
+
+
+def _scale(parts, log_radius):
+    v = [complex(x, y) for x, y in parts]
+    norm = math.sqrt(sum(abs(x) ** 2 for x in v))
+    return tuple(x * (math.exp(log_radius) / norm) for x in v)
+
+
+def signed_zero_points(dim: int):
+    part = st.sampled_from([0.0, -0.0, 1.0, -0.5, 2.0])
+    return st.lists(st.builds(complex, part, part), min_size=dim, max_size=dim).map(tuple)
+
+
+def word_and_points(make_points, n: int = 1):
+    return st.sampled_from(sorted(WORDS)).flatmap(
+        lambda name: st.tuples(
+            st.just(name), st.lists(make_points(WORDS[name].dim), min_size=n, max_size=n)
+        )
+    )
+
+
+# ----------------------------------------------------------------------
+# scalar step
+
+
+@SETTINGS
+@given(word_and_points(points))
+def test_scalar_step_is_bitwise_the_oracle(case):
+    name, (p,) = case
+    word = WORDS[name]
+    assert bits(word(p)) == bits(scalar_oracle(word, p))
+
+
+@SETTINGS
+@given(word_and_points(signed_zero_points))
+def test_scalar_step_keeps_signed_zeros_of_the_oracle(case):
+    name, (p,) = case
+    word = WORDS[name]
+    assert bits(word(p)) == bits(scalar_oracle(word, p))
+
+
+def test_scalar_step_reaches_overflow_like_the_oracle():
+    word = WORDS["F3(1,1,3)"]
+    p = (1j, 1j, 300.0 + 0j)
+    q = word(p)
+    assert not finite(q)
+    assert bits(q) == bits(scalar_oracle(word, p))
+
+
+def test_long_orbit_is_bitwise_the_oracle():
+    word = WORDS["F3(1,1,3)"]
+    p = q = (0.1 + 0.05j, 0.1 - 0.02j, 0.05j)
+    for _ in range(100_000):
+        p, q = word(p), scalar_oracle(word, q)
+    assert bits(p) == bits(q)
+
+
+def test_elementary_map_is_a_one_factor_word():
+    p = (0.3 - 0.1j, -0.2 + 0.4j, 0.5 + 0.25j)
+    coords = [np.array([x]) for x in p]
+    for kind in ElementaryKind:
+        f = ElementaryMap(kind, (1.0, 2.0), 5.0)
+        assert bits(f(p)) == bits(scalar_oracle(MapWord((f,)), p))
+        assert all(
+            a.tobytes() == b.tobytes()
+            for a, b in zip(f.eval_batch(coords), batch_oracle(MapWord((f,)), coords))
+        )
+
+
+def test_wrong_dimension_raises():
+    for word in WORDS.values():
+        with pytest.raises(DimensionError):
+            word((1, 2))
+        with pytest.raises(DimensionError):
+            word((0j,) * (word.dim + 1))
+    with pytest.raises(DimensionError):
+        MapWord((ElementaryMap(K.SHEAR, (), 1.0),))
+
+
+# ----------------------------------------------------------------------
+# batch step
+
+
+def points_or_signed_zeros(dim: int):
+    return st.one_of(points(dim), signed_zero_points(dim))
+
+
+@BATCH_SETTINGS
+@given(word_and_points(points_or_signed_zeros, n=16))
+def test_batch_step_is_bitwise_the_oracle(case):
+    name, pts = case
+    word = WORDS[name]
+    coords = [np.array([p[i] for p in pts]) for i in range(word.dim)]
+    got = word.eval_batch([c.copy() for c in coords])
+    want = batch_oracle(word, [c.copy() for c in coords])
+    assert [c.tobytes() for c in got] == [c.tobytes() for c in want]
+
+
+@BATCH_SETTINGS
+@given(word_and_points(points, n=16))
+def test_batch_step_matches_scalar_step_elementwise(case):
+    name, pts = case
+    word = WORDS[name]
+    out = word.eval_batch([np.array([p[i] for p in pts]) for i in range(word.dim)])
+    for i, p in enumerate(pts):
+        scalar = word(p)
+        batch = tuple(complex(c[i]) for c in out)
+        assert finite(batch) == finite(scalar)
+        if finite(scalar) and max(abs(x) for x in p) <= 1.0:
+            scale = max(1.0, max(abs(x) for x in scalar))
+            assert max(abs(x - y) for x, y in zip(scalar, batch)) <= 1e-9 * scale
+
+
+# ----------------------------------------------------------------------
+# pickling
+
+
+def test_word_and_pushforward_survive_pickle():
+    for word in WORDS.values():
+        back = pickle.loads(pickle.dumps(word))
+        assert back == word and hash(back) == hash(word)
+        q = (0.1j,) * word.dim
+        assert bits(back(q)) == bits(word(q))
+    g = PushforwardMap(WORDS["F3(1,1,3)"])
+    back = pickle.loads(pickle.dumps(g))
+    assert back == g
+    q = (0.05 + 0.02j, 0.1 - 0.03j)
+    assert bits(back(q)) == bits(g(q))
+

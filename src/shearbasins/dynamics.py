@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
 from typing import Callable, Sequence
@@ -768,11 +769,14 @@ def sample_slice(
 
     Rows are processed in bands; every operation inside a band is
     elementwise per pixel, so the output does not depend on the banding
-    and is identical for any worker count.
+    and is identical for any worker count.  At most one worker per usable
+    CPU is started.
     """
     cfg = cfg or OrbitConfig()
     codes = np.zeros((spec.height, spec.width), dtype=np.uint8)
     iters = np.zeros((spec.height, spec.width), dtype=np.int32)
+    usable = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+    workers = min(workers, usable)
     if workers <= 1:
         bands = [(map_obj, spec, cfg, 0, spec.height)]
         results = map(_classify_band, bands)

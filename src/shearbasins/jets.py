@@ -4,9 +4,15 @@ A :class:`Jet` holds the monomials of total degree <= ``order`` of a
 holomorphic germ at the origin, keyed by exponent tuples.  Products and
 compositions discard everything above the truncation order, and any
 coefficient whose modulus falls below :data:`PRUNE_THRESHOLD` is dropped,
-so an absent monomial always means a zero coefficient.  Term iteration,
-evaluation and serialization use graded lexicographic order, which keeps
-every derived output bit-stable across runs.
+so an absent monomial always means a zero coefficient (a nan coefficient
+is kept).  Term iteration, evaluation and serialization use graded
+lexicographic order, which keeps every derived output bit-stable across
+runs.
+
+A product multiplies only the nonzero terms: each output coefficient is
+the sum, from 0j, of Python complex products ``a * b`` taken with the
+left factor's terms in graded lexicographic order.  No numpy arithmetic
+is involved, so products round the same way on every host.
 
 :class:`JetMap` bundles jets sharing the same variables into a truncated
 map germ and adds composition, homogeneous parts and the Jacobian.
@@ -14,17 +20,12 @@ map germ and adds composition, homogeneous parts and the Jacobian.
 
 from __future__ import annotations
 
-from functools import lru_cache
 from numbers import Number
+from operator import add
 from typing import Iterator, Mapping, Sequence
-
-import numpy as np
 
 PRUNE_THRESHOLD = 1e-14
 DEFAULT_ORDER = 8
-
-# Above this dense-buffer size multiplication falls back to dict convolution.
-_DENSE_LIMIT = 400_000
 
 
 class DimensionError(ValueError):
@@ -42,12 +43,6 @@ class OrderRangeError(ValueError):
 def grlex_key(exponents: tuple[int, ...]) -> tuple[int, tuple[int, ...]]:
     """Sort key for graded lexicographic term order."""
     return (sum(exponents), exponents)
-
-
-@lru_cache(maxsize=64)
-def _degree_table(k: int, order: int) -> np.ndarray:
-    """Total degree of every cell of the dense (order+1,)*k coefficient cube."""
-    return np.indices((order + 1,) * k).sum(axis=0)
 
 
 def _validate_exponents(e: tuple[int, ...], k: int, order: int) -> None:
@@ -77,7 +72,7 @@ class Jet:
                 e = tuple(int(x) for x in e)
                 _validate_exponents(e, self.k, self.order)
                 c = complex(c)
-                if abs(c) >= PRUNE_THRESHOLD:
+                if not abs(c) < PRUNE_THRESHOLD:  # nan is kept
                     pruned[e] = c
         self.terms = pruned
 
@@ -180,11 +175,16 @@ class Jet:
         if not isinstance(other, Jet):
             return NotImplemented
         self._check_compatible(other)
-        if self.is_zero() or other.is_zero():
-            return Jet(self.k, self.order, {})
-        if (self.order + 1) ** self.k <= _DENSE_LIMIT:
-            return self._mul_dense(other)
-        return self._mul_sparse(other)
+        right = [(sum(e), e, c) for e, c in other.sorted_terms()]
+        acc: dict[tuple[int, ...], complex] = {}
+        for ea, ca in self.sorted_terms():
+            room = self.order - sum(ea)
+            for db, eb, cb in right:
+                if db > room:
+                    break
+                e = tuple(map(add, ea, eb))
+                acc[e] = acc.get(e, 0j) + ca * cb
+        return Jet(self.k, self.order, acc)
 
     def __rmul__(self, other: complex) -> "Jet":
         return self.__mul__(other)
@@ -203,32 +203,6 @@ class Jet:
             base = base * base if n > 1 else base
             n >>= 1
         return result
-
-    def _mul_dense(self, other: "Jet") -> "Jet":
-        shape = (self.order + 1,) * self.k
-        dense = np.zeros(shape, dtype=np.complex128)
-        for e, c in other.terms.items():
-            dense[e] = c
-        out = np.zeros(shape, dtype=np.complex128)
-        hi = self.order + 1
-        for e, c in self.sorted_terms():
-            dst = tuple(slice(x, hi) for x in e)
-            src = tuple(slice(0, hi - x) for x in e)
-            out[dst] += c * dense[src]
-        out[_degree_table(self.k, self.order) > self.order] = 0
-        keep = np.argwhere(np.abs(out) >= PRUNE_THRESHOLD)
-        return Jet(self.k, self.order, {tuple(int(x) for x in idx): complex(out[tuple(idx)]) for idx in keep})
-
-    def _mul_sparse(self, other: "Jet") -> "Jet":
-        acc: dict[tuple[int, ...], complex] = {}
-        for ea, ca in self.sorted_terms():
-            da = sum(ea)
-            for eb, cb in other.sorted_terms():
-                if da + sum(eb) > self.order:
-                    continue
-                e = tuple(x + y for x, y in zip(ea, eb))
-                acc[e] = acc.get(e, 0j) + ca * cb
-        return Jet(self.k, self.order, acc)
 
     def exp(self) -> "Jet":
         """Truncated exponential sum_{m<=order} self^m / m!.

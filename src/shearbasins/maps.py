@@ -26,6 +26,7 @@ import cmath
 import math
 from dataclasses import dataclass
 from enum import Enum
+from functools import lru_cache
 from typing import Sequence
 
 import numpy as np
@@ -158,10 +159,10 @@ class ElementaryMap:
         return ElementaryMap(_INVERSE_KIND[self.kind], self.weights, self.w_coeff)
 
     def __call__(self, p: Sequence[complex]) -> tuple[complex, ...]:
-        return MapWord((self,))(p)
+        return _one_factor_word(self)(p)
 
     def eval_batch(self, coords: list[np.ndarray]) -> list[np.ndarray]:
-        return MapWord((self,)).eval_batch(coords)
+        return _one_factor_word(self).eval_batch(coords)
 
     def jet(self, order: int) -> JetMap:
         n = self.dim
@@ -238,6 +239,12 @@ class MapWord:
             fj = factor.jet(order)
             result = fj if result is None else fj.compose(result)
         return result
+
+
+@lru_cache(maxsize=64)
+def _one_factor_word(factor: ElementaryMap) -> MapWord:
+    """The compiled word of one factor; equal factors share it."""
+    return MapWord((factor,))
 
 
 def build_family(k: int, weights: Sequence[float], w_coeff: float) -> MapWord:
@@ -399,6 +406,11 @@ def _in_ideal(e: tuple[int, ...], generators: Sequence[tuple[int, ...]]) -> bool
     return any(all(x >= g for x, g in zip(e, gen)) for gen in generators)
 
 
+def _worst(*defects: float) -> float:
+    """Largest defect; nan if any is nan (max() drops a nan that is not first)."""
+    return math.nan if any(math.isnan(d) for d in defects) else max(defects)
+
+
 def verify_normal_form(
     jet_map: JetMap,
     weights: Sequence[float],
@@ -411,7 +423,8 @@ def verify_normal_form(
     zeta-coefficient equals -a_i, and the remainder lies in the monomial
     ideal z_i * (zeta^2, zeta w).  For the w-component: unit linear
     coefficient, zeta w coefficient equals -b, and the remainder lies in
-    w * (zeta^2, zeta w) + (zeta^3).
+    w * (zeta^2, zeta w) + (zeta^3).  A nan or infinite coefficient fails
+    the check it belongs to.
     """
     k = len(weights)
     n = k + 1
@@ -432,7 +445,7 @@ def verify_normal_form(
         comp = jet_map.components[i]
         lin = comp.coefficient(zexp(i))
         zc = comp.coefficient(zexp(i, extra_z=1))
-        defect = max(abs(lin - 1.0), abs(zc + weights[i]))
+        defect = _worst(abs(lin - 1.0), abs(zc + weights[i]))
         report.add(
             f"coeff_F{i + 1}",
             defect <= tol,
@@ -444,7 +457,7 @@ def verify_normal_form(
     wc = jet_map.components[k]
     lin_w = wc.coefficient((0,) * k + (1,))
     zw = wc.coefficient(ones + (1,))
-    defect = max(abs(lin_w - 1.0), abs(zw + w_coeff))
+    defect = _worst(abs(lin_w - 1.0), abs(zw + w_coeff))
     report.add(
         "coeff_Fw",
         defect <= tol,
@@ -460,7 +473,7 @@ def verify_normal_form(
         diff = jet_map.components[i] - expected
         gens = (zexp(i, extra_z=2), zexp(i, extra_z=1, extra_w=1))
         for e, c in diff.sorted_terms():
-            if not _in_ideal(e, gens):
+            if not (_in_ideal(e, gens) and cmath.isfinite(c)):
                 bad_z.append(f"F{i + 1}: {e} -> {c:.3g}")
     report.add(
         "ideal_Fz",
@@ -471,7 +484,8 @@ def verify_normal_form(
     expected_w = Jet(n, order, {(0,) * k + (1,): 1.0, ones + (1,): -w_coeff})
     diff_w = wc - expected_w
     gens_w = (tuple(2 for _ in range(k)) + (1,), ones + (2,), tuple(3 for _ in range(k)) + (0,))
-    bad_w = [f"{e} -> {c:.3g}" for e, c in diff_w.sorted_terms() if not _in_ideal(e, gens_w)]
+    bad_w = [f"{e} -> {c:.3g}" for e, c in diff_w.sorted_terms()
+             if not (_in_ideal(e, gens_w) and cmath.isfinite(c))]
     report.add(
         "ideal_Fw",
         not bad_w,

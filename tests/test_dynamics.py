@@ -8,12 +8,14 @@ actually cross within the iteration budget.
 
 import cmath
 import math
+import os
 import random
 import warnings
 
 import numpy as np
 import pytest
 
+from shearbasins import dynamics
 from shearbasins.dynamics import (
     CODE_CONVERGED,
     CODE_ESCAPED,
@@ -252,6 +254,33 @@ def test_raster_deterministic_across_workers():
     r2, _, _ = quad_raster(width=48, height=48, max_iter=1500, workers=2)
     assert np.array_equal(r1.codes, r2.codes)
     assert np.array_equal(r1.iterations, r2.iterations)
+
+
+def test_sample_slice_starts_at_most_one_worker_per_usable_cpu(monkeypatch):
+    started = []
+
+    class SerialPool:
+        """Stands in for ProcessPoolExecutor: records max_workers, starts no process."""
+
+        def __init__(self, max_workers):
+            started.append(max_workers)
+
+        def map(self, fn, items):
+            return map(fn, items)
+
+        def shutdown(self):
+            pass
+
+    monkeypatch.setattr(dynamics, "ProcessPoolExecutor", SerialPool)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    serial, _, _ = quad_raster(width=24, height=24, max_iter=300, workers=1)
+    capped, _, _ = quad_raster(width=24, height=24, max_iter=300, workers=64)
+    monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: 3)
+    quad_raster(width=24, height=24, max_iter=300, workers=64)
+    assert started == [2, 3]
+    assert np.array_equal(serial.codes, capped.codes)
+    assert np.array_equal(serial.iterations, capped.iterations)
 
 
 def test_raster_codes_form_a_trichotomy():

@@ -7,14 +7,21 @@ rational coefficients (m/16 with small m) so that every product and sum
 is exact in double precision and ring identities hold bitwise.
 """
 
+import cmath
 import json
 import math
 import random
+import struct
+import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from shearbasins.jets import (
+    PRUNE_THRESHOLD,
     DimensionError,
     DomainError,
     Jet,
@@ -61,6 +68,12 @@ def test_constructor_validates_exponents():
 def test_prune_threshold_drops_noise():
     jet = Jet(2, 3, {(1, 0): 1.0, (0, 1): 1e-15})
     assert jet.terms == {(1, 0): 1.0}
+
+
+def test_nan_coefficient_is_kept():
+    jet = Jet(2, 3, {(1, 0): math.nan, (0, 1): complex(0.0, math.nan)})
+    assert set(jet.terms) == {(1, 0), (0, 1)}
+    assert all(cmath.isnan(c) for c in jet.terms.values())
 
 
 def test_monomial_truncates_out_of_range():
@@ -143,11 +156,93 @@ def test_ring_axioms_exact_for_dyadic_coefficients():
         assert f * (g + h) == f * g + f * h
 
 
-def test_dense_and_sparse_multiplication_agree():
-    rng = random.Random(5)
-    f = dyadic_jet(rng, 3, 6)
-    g = dyadic_jet(rng, 3, 6)
-    assert f._mul_dense(g) == f._mul_sparse(g)
+def per_pair_product(f, g):
+    """Every pair of terms, left factor in grlex order, each sum from 0j."""
+    acc = {}
+    for ea, ca in f.sorted_terms():
+        for eb, cb in g.sorted_terms():
+            e = tuple(x + y for x, y in zip(ea, eb))
+            if sum(e) <= f.order:
+                acc[e] = acc.get(e, 0j) + ca * cb
+    return {e: c for e, c in acc.items() if abs(c) >= PRUNE_THRESHOLD}
+
+
+def bits(terms):
+    return {e: struct.pack("<dd", c.real, c.imag) for e, c in terms.items()}
+
+
+@st.composite
+def jet_pairs(draw):
+    """Two jets with non-dyadic coefficients.
+
+    One pair of terms has degrees summing exactly to the order, and on
+    request two products land on one monomial and cancel to roundoff.
+    """
+    k = draw(st.integers(1, 5))
+    order = draw(st.integers(0, 12))
+
+    def exponent(degree):
+        e = [0] * k
+        for _ in range(degree):
+            e[draw(st.integers(0, k - 1))] += 1
+        return tuple(e)
+
+    def coeff():
+        return draw(st.complex_numbers(max_magnitude=4, allow_nan=False, allow_infinity=False)) / 3
+
+    def terms():
+        n = draw(st.integers(0, 10))
+        return {exponent(draw(st.integers(0, order))): coeff() for _ in range(n)}
+
+    f, g = terms(), terms()
+    d = draw(st.integers(0, order))
+    f[exponent(d)] = coeff()
+    g[exponent(order - d)] = coeff()
+    if order >= 1 and draw(st.booleans()):
+        du = draw(st.integers(0, order - 1))
+        u, v = exponent(du), exponent(draw(st.integers(1, order - du)))
+        p, q, r = (complex(draw(st.floats(0.25, 4)), draw(st.floats(-4, 4))) / 3 for _ in range(3))
+        f.update({u: p, v: q})
+        g.update({v: r, u: -(p * r) / q})
+    return Jet(k, order, f), Jet(k, order, g)
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=300)
+@given(jet_pairs())
+def test_product_is_bitwise_the_per_pair_convolution(pair):
+    f, g = pair
+    h = f * g
+    assert (h.k, h.order) == (f.k, f.order)
+    assert bits(h.terms) == bits(per_pair_product(f, g))
+
+
+def test_product_prunes_cancellations_below_threshold():
+    x, y = Jet.variable(2, 4, 0), Jet.variable(2, 4, 1)
+    assert ((x + y * 1e-8) * (x - y * 1e-8)).terms == {(2, 0): 1.0}
+    assert ((x + y * 1e-8) * (x - y * 1e-8 * (1 + 2**-52))).terms == {(2, 0): 1.0}
+
+
+def test_product_of_sparse_jets_allocates_no_dense_buffer():
+    rng = random.Random(6)
+    f = dyadic_jet(rng, 5, 10, n_terms=12)
+    g = dyadic_jet(rng, 5, 10, n_terms=12)
+    tracemalloc.start()
+    try:
+        f * g
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # one dense (11,)*5 complex buffer alone takes 2.6 MB
+    assert peak < 1_000_000
+
+
+def test_product_overflow_raises_no_runtime_warning():
+    f = Jet(2, 4, {(1, 0): 1e200, (0, 1): 1e200j})
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        h = f * f
+    assert math.isinf(h.coefficient((2, 0)).real)
+    assert math.isinf(h.coefficient((0, 2)).real)
 
 
 # ----------------------------------------------------------------------

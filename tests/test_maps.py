@@ -14,10 +14,13 @@ against direct evaluation at sampled points.
 
 import cmath
 import math
+import pickle
 import random
 
+import numpy as np
 import pytest
 
+from shearbasins import maps
 from shearbasins.jets import DimensionError, DomainError, Jet, JetMap
 from shearbasins.maps import (
     ElementaryKind,
@@ -99,6 +102,21 @@ def test_twist_round_trip_radius_one():
         p = ball_point(rng, 3, 1.0)
         q = twist(twist.inverse()(p))
         assert max(abs(x - y) for x, y in zip(p, q)) <= 1e-13
+
+
+def test_elementary_map_reuses_one_compiled_word(monkeypatch):
+    compiled = []
+    compile_word = maps._compile
+    monkeypatch.setattr(maps, "_compile", lambda factors: compiled.append(factors) or compile_word(factors))
+    maps._one_factor_word.cache_clear()
+    twist = ElementaryMap(ElementaryKind.TWIST, (1.0, 1.0), 3.0)
+    p = (0.1 + 0.2j, -0.3j, 0.05 + 0j)
+    assert twist(p) == twist(p) == MapWord((twist,))(p)
+    twist.eval_batch([np.array([x]) for x in p])
+    ElementaryMap(ElementaryKind.TWIST, (1.0, 1.0), 3.0)(p)
+    assert compiled == [(twist,), (twist,)]  # the cached word, then the MapWord built above
+    assert pickle.loads(pickle.dumps(twist)) == twist
+    assert hash(twist) == hash(ElementaryMap(ElementaryKind.TWIST, (1.0, 1.0), 3.0))
 
 
 def test_shear_jet_is_exact_polynomial():
@@ -279,6 +297,22 @@ def test_verify_form_identity_map_fails_coefficient_checks():
     assert not report["coeff_F1"].ok
     assert not report["coeff_F2"].ok
     assert not report["coeff_Fw"].ok
+
+
+@pytest.mark.parametrize(
+    "component, exponent, failing",
+    [
+        (0, (2, 1, 0), ["coeff_F1", "ideal_Fz"]),  # the zeta term of F_1
+        (0, (3, 2, 0), ["ideal_Fz"]),  # z * zeta^2, inside the remainder ideal
+        (2, (2, 2, 1), ["ideal_Fw"]),  # w * zeta^2, inside the remainder ideal
+    ],
+)
+def test_verify_form_fails_on_a_nan_coefficient(component, exponent, failing):
+    jet = build_F(P113).jet(8)
+    comps = list(jet.components)
+    comps[component] = Jet(3, 8, {**comps[component].terms, exponent: complex(math.nan)})
+    report = verify_form_eq1(JetMap(comps), P113)
+    assert [c.name for c in report.checks if not c.ok] == failing
 
 
 def test_verify_form_dimension_error():

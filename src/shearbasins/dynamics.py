@@ -126,11 +126,13 @@ def iterate(evaluator: Callable, p0: Sequence[complex], cfg: OrbitConfig | None 
 
     for n in range(1, cfg.max_iter + 1):
         q = evaluator(p)
-        if not _finite(q):
+        nrm = _norm(q)
+        # a non-finite coordinate gives a non-finite norm; a norm that
+        # overflows from finite coordinates is a plain escape below
+        if not math.isfinite(nrm) and not _finite(q):
             status = Status(ESCAPED, n, "non-finite arithmetic")
             record(q, n)
             break
-        nrm = _norm(q)
         if nrm > cfg.escape_radius:
             status = Status(ESCAPED, n)
             record(q, n)
@@ -668,7 +670,8 @@ def classify_batch(
     iters = np.full(total, cfg.max_iter, dtype=np.int32)
     orig_idx = np.arange(total)
     active = np.ones(total, dtype=bool)
-    cur_block = np.sqrt(sum(np.abs(c) ** 2 for c in p))
+    with np.errstate(over="ignore", invalid="ignore", under="ignore"):
+        cur_block = np.sqrt(sum(np.abs(c) ** 2 for c in p))
     prev_block = np.full(total, np.inf)
     have_prev = False
     window_ok = np.zeros(total, dtype=bool)
@@ -689,15 +692,16 @@ def classify_batch(
             break
         q = map_obj.eval_batch(p)
         q = [np.asarray(c, dtype=complex) for c in q]
-        finite = np.ones(active.shape, dtype=bool)
-        for c in q:
-            finite &= np.isfinite(c.real) & np.isfinite(c.imag)
-        with np.errstate(over="ignore", invalid="ignore", under="ignore"):
-            nrm = np.sqrt(sum(np.abs(np.where(finite, c, 0.0)) ** 2 for c in q))
+        finite = np.isfinite(q[0])
+        for c in q[1:]:
+            finite &= np.isfinite(c)
+        # decided elements are zeroed, so the norm sees only finite values
         decide(~finite, CODE_ESCAPED, n)
+        with np.errstate(over="ignore", invalid="ignore", under="ignore"):
+            nrm = np.sqrt(sum(np.abs(c) ** 2 for c in q))
         decide(nrm > cfg.escape_radius, CODE_ESCAPED, n)
-        stationary = np.ones(active.shape, dtype=bool)
-        for a, b in zip(p, q):
+        stationary = p[0] == q[0]
+        for a, b in zip(p[1:], q[1:]):
             stationary &= a == b
         decide(stationary & (nrm < cfg.eps_converged), CODE_CONVERGED, n)
         decide(stationary, CODE_UNDECIDED, n)

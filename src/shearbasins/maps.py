@@ -88,15 +88,16 @@ _INVERSE_KIND = {
 }
 
 # The closed form of each kind, written once for complex scalars and numpy
-# arrays: the coordinate it rewrites ("w", or every z_i with weight {a}) and
-# its new value, with {exp} = _cexp or np.exp and {rate} = {total} + w_coeff.
+# arrays: the argument of its exponential e, or None, then its updates
+# "x op y", each meaning x = x op y.  A z-kind runs them for every z_i, with
+# {a} its weight; {rate} = {total} + w_coeff.
 _FORMULAS = {
-    ElementaryKind.SHEAR: ("w", "w - zeta"),
-    ElementaryKind.SHEAR_INV: ("w", "w + zeta"),
-    ElementaryKind.OVERSHEAR: ("z", "{z} * {exp}({a} * w)"),
-    ElementaryKind.OVERSHEAR_INV: ("z", "{z} * {exp}(-{a} * w)"),
-    ElementaryKind.TWIST: ("w", "w * {exp}(-{rate} * zeta) + {total} * zeta * zeta"),
-    ElementaryKind.TWIST_INV: ("w", "(w - {total} * zeta * zeta) * {exp}({rate} * zeta)"),
+    ElementaryKind.SHEAR: (None, ["w - zeta"]),
+    ElementaryKind.SHEAR_INV: (None, ["w + zeta"]),
+    ElementaryKind.OVERSHEAR: ("{a} * w", ["{z} * e"]),
+    ElementaryKind.OVERSHEAR_INV: ("-{a} * w", ["{z} * e"]),
+    ElementaryKind.TWIST: ("-{rate} * zeta", ["w * e", "w + {total} * zeta * zeta"]),
+    ElementaryKind.TWIST_INV: ("{rate} * zeta", ["w - {total} * zeta * zeta", "w * e"]),
 }
 
 
@@ -106,26 +107,45 @@ def _compile(factors: Sequence[ElementaryMap]):
     coords = ", ".join([*zs, "w"])
     namespace = {"_cexp": _cexp, "np": np, "DimensionError": DimensionError}
 
-    def body(exp: str, zeta: str, indent: str) -> str:
-        lines, zeta_valid = [], False
+    def body(batch: bool, indent: str) -> str:
+        # owned: the arrays this batch step allocated, the only ones it adds
+        # or subtracts into; it never multiplies in place, because numpy's
+        # in-place complex product rounds differently on one-element arrays
+        lines, owned, zeta_valid = [], set(), False
         for j, factor in enumerate(reversed(factors)):
-            target, formula = _FORMULAS[factor.kind]
+            exponent, updates = _FORMULAS[factor.kind]
             total = sum(factor.weights)
             namespace.update({f"rate{j}": total + factor.w_coeff, f"total{j}": total})
-            namespace.update({f"a{j}_{i}": a for i, a in enumerate(factor.weights)})
-            if "zeta" in formula and not zeta_valid:
-                lines.append(f"zeta = {zeta}")
+            if "zeta" in f"{exponent}{updates}" and not zeta_valid:
+                lines.append("zeta = " + " * ".join(zs if batch else ["(1+0j)", *zs]))
                 zeta_valid = True
-            names = {"exp": exp, "rate": f"rate{j}", "total": f"total{j}"}
-            if target == "w":
-                lines.append("w = " + formula.format(**names))
-            else:
-                lines += [f"{z} = " + formula.format(z=z, a=f"a{j}_{i}", **names) for i, z in enumerate(zs)]
+            groups: dict = {"w": (None, ["w"])}
+            if updates[0].startswith("{z}"):
+                # one exponential per bitwise-distinct weight; nan weights share none
+                groups = {}
+                for i, a in enumerate(factor.weights):
+                    key = (type(a), float(a).hex()) if a == a else i
+                    groups.setdefault(key, (a, []))[1].append(f"z{i}")
                 zeta_valid = False
+            for g, (a, targets) in enumerate(groups.values()):
+                names = {"a": f"a{j}_{g}", "rate": f"rate{j}", "total": f"total{j}"}
+                namespace[names["a"]] = a
+                if exponent and batch:
+                    lines += [f"e = {exponent.format(**names)}", "np.exp(e, out=e)"]
+                elif exponent:
+                    lines.append(f"e = _cexp({exponent.format(**names)})")
+                for z in targets:
+                    for formula in updates:
+                        x, op, y = formula.format(z=z, **names).split(" ", 2)
+                        if batch and x in owned and op != "*":
+                            lines.append(f"{x} {op}= {y}")
+                        else:
+                            lines.append(f"{x} = {x} {op} {y}")
+                            owned.add(x)
         return "".join(f"\n{indent}{line}" for line in lines)
 
-    scalar_body = body("_cexp", "(1+0j) * " + " * ".join(zs), "    ")
-    batch_body = body("np.exp", " * ".join(zs), "        ")
+    scalar_body = body(False, "    ")
+    batch_body = body(True, "        ")
     exec(f"""
 def step(p):
     try:
@@ -197,9 +217,25 @@ class MapWord:
     weights enter as the float-complex products a * w and -a * w, _cexp
     turns overflow into inf, and the twist's total is sum(weights) from int
     0.  A zeta product is reused only across factors that leave every z_i
-    unchanged.  The batch step runs inside np.errstate, so overflow gives
-    inf or nan without a RuntimeWarning.  Equality, hashing and pickling
-    use ``factors`` only; unpickling compiles again.
+    unchanged.
+
+    Each factor takes one exponential per distinct weight, shared by the
+    z_i of that weight and named e before any product uses it: with equal
+    weights the exponentials are equal bit for bit, so computing one is
+    enough.  Weights count as equal only when bitwise equal (so -0.0 and
+    0.0 differ, and a nan weight shares with none).  Every batch product
+    is written coordinate * e.  Were e a nameless temporary, numpy would
+    reuse it as the product's buffer on arrays of 16 384 elements or more
+    and compute e * coordinate instead; its complex product fuses
+    multiply-adds and is not bitwise commutative, so the bits would depend
+    on the batch size.
+
+    The batch step takes arrays of one or more dimensions and never writes
+    into them.  It updates in place only arrays it allocated itself, and
+    only by addition or subtraction: numpy's in-place complex product
+    rounds differently on one-element arrays.  It runs inside np.errstate,
+    so overflow gives inf or nan without a RuntimeWarning.  Equality,
+    hashing and pickling use ``factors`` only; unpickling compiles again.
     """
 
     factors: tuple[ElementaryMap, ...]

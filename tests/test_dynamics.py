@@ -42,7 +42,7 @@ from shearbasins.dynamics import (
     write_orbit_csv,
     write_pgm,
 )
-from shearbasins.maps import Params, Prototype, PushforwardMap, build_F
+from shearbasins.maps import ElementaryKind, ElementaryMap, MapWord, Params, Prototype, PushforwardMap, build_F
 
 P113 = Params(1.0, 1.0, 3.0)
 QUAD = Prototype("quadratic_1d", 1.0)
@@ -318,6 +318,20 @@ def test_lifted_raster_branch_independent():
     assert {CODE_CONVERGED, CODE_ESCAPED} <= set(np.unique(plus.codes))
 
 
+def _agree_with_iterate(map_obj, starts, cfg):
+    """classify_batch gives every start iterate's status code and decision
+    index, without a RuntimeWarning; returns iterate's statuses."""
+    code_of = {ESCAPED: CODE_ESCAPED, CONVERGED: CODE_CONVERGED, UNDECIDED: CODE_UNDECIDED}
+    coords = [np.array([p[i] for p in starts], dtype=complex) for i in range(len(starts[0]))]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        codes, iters = classify_batch(map_obj, coords, cfg)
+    statuses = [iterate(map_obj, p, cfg).status for p in starts]
+    assert codes.tolist() == [code_of[s.kind] for s in statuses]
+    assert iters.tolist() == [s.index for s in statuses]
+    return statuses
+
+
 def test_classify_batch_matches_iterate_pixel_by_pixel():
     """Both orbit engines give every start the same status and decision index."""
     word = build_F(P113)
@@ -329,15 +343,45 @@ def test_classify_batch_matches_iterate_pixel_by_pixel():
         "G": (PushforwardMap(word), SliceSpec(base=(0j, 0.05 + 0j), dir1=(1 + 0j, 0j),
                                               dir2=(1j, 0j), **kwargs)),
     }
-    code_of = {ESCAPED: CODE_ESCAPED, CONVERGED: CODE_CONVERGED, UNDECIDED: CODE_UNDECIDED}
     for name, (map_obj, spec) in slices.items():
         starts = [spec.start_point(u, v) for v in spec.axis_v() for u in spec.axis_u()]
-        coords = [np.array([p[i] for p in starts]) for i in range(map_obj.dim)]
-        codes, iters = classify_batch(map_obj, coords, cfg)
-        orbits = [iterate(map_obj, p, cfg).status for p in starts]
-        assert codes.tolist() == [code_of[s.kind] for s in orbits], name
-        assert iters.tolist() == [s.index for s in orbits], name
-        assert set(codes.tolist()) == {CODE_ESCAPED, CODE_CONVERGED, CODE_UNDECIDED}, name
+        statuses = _agree_with_iterate(map_obj, starts, cfg)
+        assert {s.kind for s in statuses} == {ESCAPED, CONVERGED, UNDECIDED}, name
+
+
+def test_classify_batch_decides_edge_starts_like_iterate():
+    """Non-finite starts, a norm that overflows from finite coordinates and
+    stationary points get the same code and decision index in both engines."""
+    cfg = OrbitConfig(max_iter=300, eps_converged=1e-3, record_stride=1000)
+    nan, inf = complex(math.nan, 0.0), complex(math.inf, 0.0)
+    starts = [
+        (nan, 0.1 + 0j, 0j),
+        (0.1 + 0j, inf, 0.05j),
+        (1e200 + 0j, 0j, 0j),  # a fixed point whose norm overflows
+        (0.25 + 0j, 0j, 0j),  # fixed, off the origin
+        (1e-4 + 0j, 0j, 0j),  # fixed, inside the eps ball
+        (0.1 + 0.05j, 0.1 - 0.02j, 0.05j),
+        (1.5 + 0j, 1.5 + 0j, 0j),
+    ]
+    statuses = _agree_with_iterate(build_F(P113), starts, cfg)
+    assert [(s.kind, s.index, s.note) for s in statuses[:5]] == [
+        (ESCAPED, 1, "non-finite arithmetic"),
+        (ESCAPED, 1, "non-finite arithmetic"),
+        (ESCAPED, 1, ""),
+        (UNDECIDED, 1, "stationary orbit (fixed point off the origin)"),
+        (CONVERGED, 1, "stationary inside the eps ball"),
+    ]
+    planar = [(nan, 0.05 + 0j), (1e200 + 0j, 0j), (0j, 0.05 + 0j), (0j, 1e-4 + 0j), (0.02 + 0j, 0.01 + 0j)]
+    _agree_with_iterate(PushforwardMap(build_F(P113)), planar, cfg)
+
+
+def test_classify_batch_of_a_word_that_returns_its_inputs():
+    """A one-factor shear returns the caller's z arrays unchanged."""
+    shear = MapWord((ElementaryMap(ElementaryKind.SHEAR, (1.0, 1.0), 3.0),))
+    cfg = OrbitConfig(max_iter=300, eps_converged=1e-3, record_stride=1000)
+    starts = [(1 + 0j, 1 + 0j, 0j), (0.3 + 0j, 0j, 0.2 + 0j), (1e-4 + 0j, 0j, 0j), (0.5 + 0j, 0.5j, 0.1j)]
+    statuses = _agree_with_iterate(shear, starts, cfg)
+    assert [s.kind for s in statuses] == [ESCAPED, UNDECIDED, CONVERGED, ESCAPED]
 
 
 def test_rasters_of_the_word_raise_no_runtime_warnings():

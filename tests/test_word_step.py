@@ -29,6 +29,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from shearbasins import maps
 from shearbasins.jets import DimensionError
 from shearbasins.maps import (
     ElementaryKind,
@@ -80,13 +81,20 @@ def apply_factor(f: ElementaryMap, zs: list, w, zeta, exp):
         return zs, w - zeta
     if f.kind is K.SHEAR_INV:
         return zs, w + zeta
+    # Every exponential is named before its product, so numpy cannot reuse
+    # it as the product's buffer and swap the operands (its complex product
+    # is not bitwise commutative), and the oracle rounds alike at every size.
     if f.kind is K.OVERSHEAR:
-        return [z * exp(a * w) for z, a in zip(zs, f.weights)], w
+        es = [exp(a * w) for a in f.weights]
+        return [z * e for z, e in zip(zs, es)], w
     if f.kind is K.OVERSHEAR_INV:
-        return [z * exp(-a * w) for z, a in zip(zs, f.weights)], w
+        es = [exp(-a * w) for a in f.weights]
+        return [z * e for z, e in zip(zs, es)], w
     if f.kind is K.TWIST:
-        return zs, w * exp(-rate * zeta) + total * zeta * zeta
-    return zs, (w - total * zeta * zeta) * exp(rate * zeta)
+        e = exp(-rate * zeta)
+        return zs, w * e + total * zeta * zeta
+    e = exp(rate * zeta)
+    return zs, (w - total * zeta * zeta) * e
 
 
 def scalar_oracle(word: MapWord, p) -> tuple:
@@ -198,6 +206,28 @@ def test_elementary_map_is_a_one_factor_word():
         )
 
 
+def test_one_exponential_per_bitwise_distinct_weight(monkeypatch):
+    calls = []
+    monkeypatch.setattr(maps, "_cexp", lambda x: calls.append(x) or scalar_exp(x))
+    p = (0.1 + 0.05j, 0.1 - 0.02j, 0.05j)
+    for weights, exps in (((1.0, 1.0), 3), ((1.0, 2.0), 5)):
+        calls.clear()
+        build_F(Params(*weights, 5.0))(p)
+        assert len(calls) == exps
+    # weights that differ in their bits keep their own exponentials: 0.0 * w
+    # and -0.0 * w can differ in the sign of a zero, and nan is never shared
+    for weights in ((0.0, -0.0), (math.nan, math.nan)):
+        word = MapWord((ElementaryMap(K.OVERSHEAR, weights, 1.0),))
+        q = (complex(1.0, -0.0), complex(1.0, -0.0), complex(-1.0, 0.0))
+        calls.clear()
+        assert bits(word(q)) == bits(scalar_oracle(word, q))
+        assert len(calls) == 2
+        coords = [np.array([x]) for x in q]
+        assert [c.tobytes() for c in word.eval_batch(coords)] == [
+            c.tobytes() for c in batch_oracle(word, coords)
+        ]
+
+
 def test_wrong_dimension_raises():
     for word in WORDS.values():
         with pytest.raises(DimensionError):
@@ -225,6 +255,56 @@ def test_batch_step_is_bitwise_the_oracle(case):
     got = word.eval_batch([c.copy() for c in coords])
     want = batch_oracle(word, [c.copy() for c in coords])
     assert [c.tobytes() for c in got] == [c.tobytes() for c in want]
+
+
+def random_coords(dim: int, n: int, seed: int) -> list:
+    """n points of radius up to about 3, with overflow and signed zeros mixed in."""
+    rng = np.random.default_rng(seed)
+    coords = [(rng.standard_normal(n) + 1j * rng.standard_normal(n)) * 0.6 for _ in range(dim)]
+    coords[-1][::97] = 300.0 + 0j
+    coords[0][::89] = complex(-0.0, 0.0)
+    return coords
+
+
+def test_batch_step_is_bitwise_the_oracle_on_a_large_batch():
+    """20 000 elements is past the size from which numpy reuses temporaries."""
+    for name in ("F3(1,1,3)", "K3 unequal", "F3 inverse"):
+        word = WORDS[name]
+        coords = random_coords(word.dim, 20_000, seed=1)
+        got = word.eval_batch(coords)
+        want = batch_oracle(word, coords)
+        assert [c.tobytes() for c in got] == [c.tobytes() for c in want], name
+
+
+def test_batch_step_bits_do_not_depend_on_the_batch_size():
+    """The same 500 points, embedded in batches of 1 000 and of 20 000, and
+    the first 100 of them one by one."""
+    for name in ("F3(1,1,3)", "K3 unequal", "F3 inverse"):
+        word = WORDS[name]
+        points = random_coords(word.dim, 500, seed=2)
+        results = []
+        for size in (1_000, 20_000):
+            coords = random_coords(word.dim, size, seed=3)
+            for c, x in zip(coords, points):
+                c[size // 2 : size // 2 + 500] = x
+            out = word.eval_batch(coords)
+            results.append([c[size // 2 : size // 2 + 500].tobytes() for c in out])
+        assert results[0] == results[1], name
+        for i in range(100):
+            alone = word.eval_batch([c[i : i + 1].copy() for c in points])
+            assert [c.tobytes() for c in alone] == [r[16 * i : 16 * i + 16] for r in results[0]], name
+
+
+def test_batch_step_never_writes_into_its_inputs():
+    shear = MapWord((ElementaryMap(K.SHEAR, (1.0, 1.0), 3.0),))
+    for word in (WORDS["F3(1,1,3)"], WORDS["K3 unequal"], shear):
+        for size in (1, 7, 20_000):
+            coords = random_coords(word.dim, size, seed=4)
+            before = [c.tobytes() for c in coords]
+            out = word.eval_batch(coords)
+            assert [c.tobytes() for c in coords] == before
+    # a shear leaves the z's as they are and returns the caller's own arrays
+    assert all(a is b for a, b in zip(out[:-1], coords[:-1]))
 
 
 @BATCH_SETTINGS

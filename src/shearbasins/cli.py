@@ -24,10 +24,9 @@ from .maps import (
     MapWord,
     Params,
     Prototype,
-    PushforwardMap,
     build_F,
-    build_family,
     family_in_regime,
+    map_from_spec,
     push_forward,
     verify_form_eq1,
     verify_normal_form,
@@ -397,64 +396,26 @@ def _apply_config_file(ns: argparse.Namespace) -> None:
     for key, value in data.items():
         attr = key.replace("-", "_")
         if hasattr(ns, attr):
-            if attr == "a" and not isinstance(value, list):
-                value = [float(value)]
             setattr(ns, attr, value)
 
 
-def _param_a(ns) -> float:
-    return float(ns.a[0]) if ns.a else 1.0
+def _build_evaluator(ns, family: str | None = None):
+    """The map of the flags (of ``family`` if given); unset flags take the
+    defaults of ``map_from_spec``."""
+    spec = {key: getattr(ns, key) for key in ("a", "b", "c", "k") if getattr(ns, key) is not None}
+    return map_from_spec({"family": family or ns.map, **spec})
 
 
-def _params(ns) -> Params:
-    a = _param_a(ns)
-    b = float(ns.b) if ns.b is not None else a
-    c = float(ns.c) if ns.c is not None else 3.0
-    return Params(a, b, c)
-
-
-def _family_weights(ns) -> list[float]:
-    k = int(ns.k or 3)
-    raw = [float(x) for x in (ns.a or [1.0])]
-    if len(raw) == 1:
-        raw = raw * k
-    if len(raw) != k:
-        raise DimensionError(f"need {k} weights for the family, got {len(raw)}")
-    return raw
-
-
-def _build_evaluator(ns):
-    name = ns.map
-    if name == "F3":
-        return build_F(_params(ns))
-    if name == "G":
-        return PushforwardMap(build_F(_params(ns)))
-    if name == "PROTO_1D":
-        return Prototype("quadratic_1d", _param_a(ns))
-    if name == "PROTO_2D":
-        return Prototype("product_2d")
-    if name == "FAMILY_K":
-        return build_family(int(ns.k or 3), _family_weights(ns), float(ns.b if ns.b is not None else 4.0))
-    raise ValueError(f"unknown map {name!r}")
+def _params(word: MapWord) -> Params:
+    """(a, b, c) of a three-dimensional word, read off its twist factor."""
+    twist = word.factors[0]
+    return Params(*twist.weights, twist.w_coeff)
 
 
 def _build_jet(ns, order: int):
-    name = ns.map
-    if name == "F3":
-        return build_F(_params(ns)).jet(order), _VAR_NAMES["F3"]
-    if name == "G":
-        return push_forward(build_F(_params(ns)).jet(2 * order)), _VAR_NAMES["G"]
-    if name == "PROTO_1D":
-        return Prototype("quadratic_1d", _param_a(ns)).jet(order), _VAR_NAMES["PROTO_1D"]
-    if name == "PROTO_2D":
-        return Prototype("product_2d").jet(order), _VAR_NAMES["PROTO_2D"]
-    if name == "FAMILY_K":
-        k = int(ns.k or 3)
-        weights = _family_weights(ns)
-        word = build_family(k, weights, float(ns.b if ns.b is not None else 4.0))
-        names = tuple(f"z{i + 1}" for i in range(k)) + ("w",)
-        return word.jet(order), names
-    raise ValueError(f"unknown map {name!r}")
+    evaluator = _build_evaluator(ns)
+    names = _VAR_NAMES.get(ns.map) or (*(f"z{i + 1}" for i in range(evaluator.dim - 1)), "w")
+    return evaluator.jet(order), names
 
 
 def _write_json(ns, payload: dict) -> None:
@@ -480,7 +441,7 @@ def cmd_expand(ns) -> int:
 
 
 def cmd_verify(ns) -> int:
-    report = run_verify_suite(_params(ns), seed=int(ns.seed or 0))
+    report = run_verify_suite(_params(_build_evaluator(ns, "F3")), seed=int(ns.seed or 0))
     print(report.to_text())
     _write_json(ns, report.to_dict())
     return 0 if report.passed else 1
@@ -517,7 +478,7 @@ def cmd_directions(ns) -> int:
                 + ", ".join(sorted({d.family_tag or "isolated" for d in extras}))
             )
     elif ns.map == "G":
-        params = _params(ns)
+        params = _params(_build_evaluator(ns, "F3"))
         expected_dir = (params.c - 2 * params.a) / (2 * params.a)
         isolated = [d for d in found if not d.degenerate and d.family_dim == 0]
         hit = [
@@ -609,11 +570,10 @@ def cmd_basin(ns) -> int:
 
 
 def cmd_family(ns) -> int:
-    k = int(ns.k or 3)
-    weights = _family_weights(ns)
-    w_coeff = float(ns.b if ns.b is not None else 4.0)
+    word = _build_evaluator(ns, "FAMILY_K")
+    weights, w_coeff = list(word.factors[0].weights), word.factors[0].w_coeff
+    k = len(weights)
     order = int(ns.order if ns.order is not None else DEFAULT_ORDER)
-    word = build_family(k, weights, w_coeff)
     report = verify_normal_form(word.jet(order), weights, w_coeff, note_literal_remainder=True)
 
     rng = random.Random(int(ns.seed or 0))

@@ -47,13 +47,15 @@ class SemiConjugacyError(ValueError):
 
 @dataclass(frozen=True)
 class Params:
-    """Shear strengths of the three-dimensional word; all must be nonzero."""
+    """Shear strengths of the three-dimensional word; all finite and nonzero."""
 
     a: float
     b: float
     c: float
 
     def __post_init__(self):
+        if not all(math.isfinite(x) for x in (self.a, self.b, self.c)):
+            raise DomainError("shear parameters a, b, c must be finite")
         if self.a == 0 or self.b == 0 or self.c == 0:
             raise DomainError("shear parameters a, b, c must all be nonzero")
 
@@ -87,10 +89,11 @@ _INVERSE_KIND = {
     ElementaryKind.TWIST_INV: ElementaryKind.TWIST,
 }
 
-# The closed form of each kind, written once for complex scalars and numpy
-# arrays: the argument of its exponential e, or None, then its updates
+# The closed form of each kind, written once for complex scalars, jets and
+# numpy arrays: the argument of its exponential e, or None, then its updates
 # "x op y", each meaning x = x op y.  A z-kind runs them for every z_i, with
-# {a} its weight; {rate} = {total} + w_coeff.
+# {a} its weight; {rate} = {total} + w_coeff.  The scalar step built from it
+# also gives ElementaryMap.jet.
 _FORMULAS = {
     ElementaryKind.SHEAR: (None, ["w - zeta"]),
     ElementaryKind.SHEAR_INV: (None, ["w + zeta"]),
@@ -133,7 +136,7 @@ def _compile(factors: Sequence[ElementaryMap]):
                 if exponent and batch:
                     lines += [f"e = {exponent.format(**names)}", "np.exp(e, out=e)"]
                 elif exponent:
-                    lines.append(f"e = _cexp({exponent.format(**names)})")
+                    lines.append(f"e = exp({exponent.format(**names)})")
                 for z in targets:
                     for formula in updates:
                         x, op, y = formula.format(z=z, **names).split(" ", 2)
@@ -147,12 +150,12 @@ def _compile(factors: Sequence[ElementaryMap]):
     scalar_body = body(False, "    ")
     batch_body = body(True, "        ")
     exec(f"""
-def step(p):
+def step(p, exp=_cexp, convert=complex):
     try:
         {coords} = p
     except ValueError:
         raise DimensionError(f"point has {{len(p)}} coordinates, expected {len(zs) + 1}") from None
-    {coords} = {", ".join(f"complex({x})" for x in [*zs, "w"])}{scalar_body}
+    {coords} = {", ".join(f"convert({x})" for x in [*zs, "w"])}{scalar_body}
     return ({coords},)
 
 def batch(coords):
@@ -185,25 +188,8 @@ class ElementaryMap:
         return _one_factor_word(self).eval_batch(coords)
 
     def jet(self, order: int) -> JetMap:
-        n = self.dim
-        k = len(self.weights)
-        xs = [Jet.variable(n, order, i) for i in range(n)]
-        w = xs[k]
-        zeta = Jet.monomial(n, order, (1,) * k + (0,))
-        kind = self.kind
-        if kind is ElementaryKind.SHEAR:
-            return JetMap([*xs[:k], w - zeta])
-        if kind is ElementaryKind.SHEAR_INV:
-            return JetMap([*xs[:k], w + zeta])
-        if kind is ElementaryKind.OVERSHEAR:
-            return JetMap([*(z * (w * a).exp() for z, a in zip(xs, self.weights)), w])
-        if kind is ElementaryKind.OVERSHEAR_INV:
-            return JetMap([*(z * (w * -a).exp() for z, a in zip(xs, self.weights)), w])
-        total = sum(self.weights)
-        rate = total + self.w_coeff
-        if kind is ElementaryKind.TWIST:
-            return JetMap([*xs[:k], w * (zeta * -rate).exp() + zeta * zeta * total])
-        return JetMap([*xs[:k], (w - zeta * zeta * total) * (zeta * rate).exp()])
+        xs = [Jet.variable(self.dim, order, i) for i in range(self.dim)]
+        return JetMap(_one_factor_word(self)._step(xs, Jet.exp, lambda x: x))
 
 
 @dataclass(frozen=True)
@@ -218,6 +204,11 @@ class MapWord:
     turns overflow into inf, and the twist's total is sum(weights) from int
     0.  A zeta product is reused only across factors that leave every z_i
     unchanged.
+
+    The scalar step also serves jets: its exponential and its coordinate
+    conversion are parameters, _cexp and complex by default, and
+    ElementaryMap.jet runs it on Jet variables with Jet.exp and no
+    conversion.  They exist for that one caller and are not user options.
 
     Each factor takes one exponential per distinct weight, shared by the
     z_i of that weight and named e before any product uses it: with equal
@@ -284,12 +275,14 @@ def _one_factor_word(factor: ElementaryMap) -> MapWord:
 
 
 def build_family(k: int, weights: Sequence[float], w_coeff: float) -> MapWord:
-    """Five-factor word in C^{k+1}; requires k >= 2 and nonzero parameters."""
+    """Five-factor word in C^{k+1}; requires k >= 2 and finite nonzero parameters."""
     if k < 2:
         raise DimensionError("the construction needs at least two z-coordinates")
     ws = tuple(float(a) for a in weights)
     if len(ws) != k:
         raise DimensionError(f"expected {k} weights, got {len(ws)}")
+    if not all(math.isfinite(x) for x in (*ws, w_coeff)):
+        raise DomainError("all weights and the w-coefficient must be finite")
     if any(a == 0 for a in ws) or w_coeff == 0:
         raise DomainError("all weights and the w-coefficient must be nonzero")
 
@@ -378,6 +371,9 @@ class PushforwardMap:
     def __call__(self, q: Sequence[complex]) -> tuple[complex, complex]:
         return eval_pushforward(self.word, q)
 
+    def jet(self, order: int) -> JetMap:
+        return push_forward(self.word.jet(2 * order))
+
     def eval_batch(self, coords: list[np.ndarray]) -> list[np.ndarray]:
         with np.errstate(over="ignore", invalid="ignore", under="ignore"):
             s = np.sqrt(coords[0])
@@ -399,6 +395,8 @@ class Prototype:
     def __post_init__(self):
         if self.kind not in ("quadratic_1d", "product_2d"):
             raise ValueError(f"unknown prototype kind {self.kind!r}")
+        if not math.isfinite(self.a):
+            raise DomainError("the prototype coefficient must be finite")
         if self.kind == "quadratic_1d" and self.a == 0:
             raise DomainError("the quadratic prototype needs a nonzero coefficient")
 
@@ -409,29 +407,23 @@ class Prototype:
     def __call__(self, p: Sequence[complex]) -> tuple[complex, ...]:
         if len(p) != self.dim:
             raise DimensionError(f"point has {len(p)} coordinates, expected {self.dim}")
-        if self.kind == "quadratic_1d":
-            z = complex(p[0])
-            return (z + self.a * z * z,)
-        z, w = complex(p[0]), complex(p[1])
-        factor = 1 + 0.5 * z * w
-        return (z * factor, w * factor)
+        return tuple(self._formula([complex(x) for x in p]))
 
     def eval_batch(self, coords: list[np.ndarray]) -> list[np.ndarray]:
         with np.errstate(over="ignore", invalid="ignore", under="ignore"):
-            if self.kind == "quadratic_1d":
-                z = coords[0]
-                return [z + self.a * z * z]
-            z, w = coords
-            factor = 1 + 0.5 * z * w
-            return [z * factor, w * factor]
+            return self._formula(coords)
 
     def jet(self, order: int) -> JetMap:
+        return JetMap(self._formula([Jet.variable(self.dim, order, i) for i in range(self.dim)]))
+
+    def _formula(self, coords: list) -> list:
+        """The closed form on complex scalars, numpy arrays or jets."""
         if self.kind == "quadratic_1d":
-            z = Jet.variable(1, order, 0)
-            return JetMap([z + z * z * self.a])
-        z, w = Jet.variable(2, order, 0), Jet.variable(2, order, 1)
-        factor = Jet.constant(2, order, 1.0) + z * w * 0.5
-        return JetMap([z * factor, w * factor])
+            (z,) = coords
+            return [z + self.a * z * z]
+        z, w = coords
+        factor = 1 + 0.5 * z * w
+        return [z * factor, w * factor]
 
 
 # ----------------------------------------------------------------------
@@ -556,20 +548,31 @@ def verify_form_eq1(jet_map: JetMap, params: Params) -> Report:
 
 
 def map_from_spec(spec: dict):
-    """Build an evaluator from {"family": ..., "a": ..., "b": ..., "c": ..., "k": ...}."""
+    """Build a map from {"family": ..., "a": ..., "b": ..., "c": ..., "k": ...}.
+
+    The one factory of maps; the CLI turns its flags and config files into
+    such a spec.  Missing entries take the defaults a = 1, c = 3, k = 3, and
+    b = a for F3 and G or b = 4 for FAMILY_K.  ``a`` is a number or a list:
+    FAMILY_K repeats a single weight k times, F3, G and PROTO_1D take
+    exactly one, and PROTO_2D has no parameters.
+    """
     family = spec.get("family")
-    if family == "F3":
-        return build_F(Params(float(spec["a"]), float(spec["b"]), float(spec["c"])))
+    a = spec.get("a", 1.0)
+    weights = [float(x) for x in a] if isinstance(a, (list, tuple)) else [float(a)]
     if family == "FAMILY_K":
-        k = int(spec["k"])
-        a = spec["a"]
-        weights = [float(a)] * k if isinstance(a, (int, float)) else [float(x) for x in a]
-        return build_family(k, weights, float(spec["b"]))
-    if family == "PROTO_1D":
-        return Prototype("quadratic_1d", float(spec.get("a", 1.0)))
+        k = int(spec.get("k", 3))
+        if len(weights) == 1:
+            weights *= k
+        if len(weights) != k:
+            raise DimensionError(f"need {k} weights for the family, got {len(weights)}")
+        return build_family(k, weights, float(spec.get("b", 4.0)))
     if family == "PROTO_2D":
         return Prototype("product_2d")
-    if family == "G":
-        word = build_F(Params(float(spec["a"]), float(spec.get("b", spec["a"])), float(spec["c"])))
-        return PushforwardMap(word)
-    raise ValueError(f"unknown map family {family!r}")
+    if family not in ("F3", "G", "PROTO_1D"):
+        raise ValueError(f"unknown map {family!r}")
+    if len(weights) != 1:
+        raise DimensionError(f"map {family} takes one weight a, got {len(weights)}")
+    if family == "PROTO_1D":
+        return Prototype("quadratic_1d", weights[0])
+    word = build_F(Params(weights[0], float(spec.get("b", weights[0])), float(spec.get("c", 3.0))))
+    return word if family == "F3" else PushforwardMap(word)

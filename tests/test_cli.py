@@ -1,11 +1,13 @@
 """CLI surface tests: output formats, exit codes, reproducibility."""
 
+import hashlib
 import json
 
 import numpy as np
 import pytest
 
 from shearbasins import cli
+from shearbasins.maps import map_from_spec
 from shearbasins.report import Report
 
 
@@ -39,6 +41,33 @@ def test_expand_planar_map(capsys):
     assert code == 0
     assert "F1(zeta, w) = zeta - 2*zeta^2" in out
     assert "F2(zeta, w) = w - 3*zeta*w" in out
+
+
+# sha256 of the JSON these commands write; jets are summed and multiplied in
+# Python complex arithmetic only.  The family report also holds the defect of
+# 50 round trips through cmath.exp, so a libm that rounds exp differently
+# would move that one number.
+JET_DIGESTS = {
+    ("expand", "--map", "F3", "--order", "6"):
+        "cd041c1436144d07f2e0614940a4e424985149edb5665c9f4ae22dc61f7f7f1a",
+    ("expand", "--map", "G", "--order", "6"):
+        "1f2b0050ad80465e546d6bbf74ca271b923b7776b0990c45946335883cc8b888",
+    ("expand", "--map", "PROTO_1D", "--order", "6"):
+        "71bfd29cfcb09e1c20e371588ea6b4876b761d9f27a631aef52ae3111cdbe86e",
+    ("expand", "--map", "PROTO_2D", "--order", "6"):
+        "febd40aaf4ca44362926e02eccc21a9ade09de4bee60aac39b8182fdef6c62ed",
+    ("expand", "--map", "FAMILY_K", "--order", "6"):
+        "4baddbaaf81ed213d0eb2731f6ca509780a3d54a7ee88ad7b603d0bd1139f2f4",
+    ("family", "--k", "4", "--order", "8"):
+        "f6564ad935c0e34451d52f6e6f13b35e2807d6f284dc4534c610d9fa38f1abcd",
+}
+
+
+def test_jet_outputs_keep_their_bytes(tmp_path, capsys):
+    for argv, digest in JET_DIGESTS.items():
+        out_path = tmp_path / "out.json"
+        assert run(capsys, *argv, "--json-out", str(out_path))[0] == 0
+        assert hashlib.sha256(out_path.read_bytes()).hexdigest() == digest, argv
 
 
 def test_expand_json_output(tmp_path, capsys):
@@ -247,12 +276,74 @@ def test_config_file_overrides_flags(tmp_path, capsys):
     assert "F1(z) = z + z^2" in out
 
 
+# one non-default parameter set per map: flags, both config shapes and
+# map_from_spec must all give the same map
+SPECS = {
+    "F3": {"a": 1, "b": 2, "c": 5},
+    "G": {"a": 0.5, "c": 2},
+    "PROTO_1D": {"a": 2},
+    "PROTO_2D": {},
+    "FAMILY_K": {"k": 3, "a": [0.5, 1, 2], "b": 4},
+}
+
+
+def _flags(params):
+    argv = []
+    for key, value in params.items():
+        argv += [f"--{key}", *(str(v) for v in (value if isinstance(value, list) else [value]))]
+    return argv
+
+
 def test_config_file_map_spec_shape(tmp_path, capsys):
     config = tmp_path / "spec.json"
     config.write_text(json.dumps({"map": {"family": "G", "a": 1, "c": 3}, "order": 2}))
     code, out, _ = run(capsys, "expand", "--config", str(config))
     assert code == 0
     assert "zeta - 2*zeta^2" in out
+    assert sorted(SPECS) == sorted(cli.MAP_CHOICES)
+    for family, params in SPECS.items():
+        want = map_from_spec({"family": family, **params}).jet(4).to_dict()
+        config = tmp_path / "c.json"
+        for source in ("flags", "bare", "nested"):
+            out_path = tmp_path / f"{family}_{source}.json"
+            if source == "flags":
+                argv = ["--map", family, *_flags(params)]
+            else:
+                spec = {"family": family, **params}
+                config.write_text(json.dumps(spec if source == "bare" else {"map": spec}))
+                argv = ["--config", str(config)]
+            code, _, _ = run(capsys, "expand", *argv, "--order", "4", "--json-out", str(out_path))
+            assert code == 0, (family, source)
+            assert json.loads(out_path.read_text()) == want, (family, source)
+        # with no parameters, map_from_spec builds the CLI's default map
+        out_path = tmp_path / f"{family}_default.json"
+        assert run(capsys, "expand", "--map", family, "--order", "4", "--json-out", str(out_path))[0] == 0
+        assert json.loads(out_path.read_text()) == map_from_spec({"family": family}).jet(4).to_dict()
+
+
+@pytest.mark.parametrize("family", ["F3", "G", "PROTO_1D"])
+def test_extra_weights_are_exit_two(capsys, family):
+    code, out, err = run(capsys, "expand", "--map", family, "--a", "1", "2")
+    assert code == 2
+    assert out == ""
+    assert f"map {family} takes one weight a, got 2" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ("expand", "--a", "nan"),
+    ("expand", "--c", "nan"),
+    ("expand", "--map", "FAMILY_K", "--a", "inf"),
+    ("expand", "--map", "FAMILY_K", "--b", "nan"),
+    ("expand", "--map", "G", "--b=-inf"),
+    ("expand", "--map", "PROTO_1D", "--a", "nan"),
+    ("verify", "--a", "nan"),
+    ("family", "--a", "1", "nan", "1"),
+])
+def test_non_finite_parameters_are_exit_two(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert "nan" not in out
+    assert "must be finite" in err
 
 
 def test_missing_config_file_is_exit_two(capsys):

@@ -515,3 +515,38 @@ def test_map_from_spec_variants():
     assert fam.dim == 4
     with pytest.raises(ValueError):
         map_from_spec({"family": "NOPE"})
+    # the defaults: a = 1, c = 3, k = 3, b = a for F3 and G, b = 4 for FAMILY_K
+    assert map_from_spec({"family": "F3"}) == build_F(P113)
+    assert map_from_spec({"family": "G"}) == PushforwardMap(build_F(P113))
+    assert map_from_spec({"family": "G", "a": 2}) == PushforwardMap(build_F(Params(2.0, 2.0, 3.0)))
+    assert map_from_spec({"family": "PROTO_1D"}) == Prototype("quadratic_1d", 1.0)
+    assert map_from_spec({"family": "FAMILY_K"}) == build_family(3, (1.0, 1.0, 1.0), 4.0)
+    # a is a number or a list; one weight is repeated k times for the family
+    assert map_from_spec({"family": "FAMILY_K", "k": 4, "a": [2]}) == build_family(4, (2.0,) * 4, 4.0)
+    assert map_from_spec({"family": "FAMILY_K", "k": 2, "a": 2}) == build_family(2, (2.0, 2.0), 4.0)
+    with pytest.raises(DimensionError):
+        map_from_spec({"family": "FAMILY_K", "k": 3, "a": [1, 2]})
+    for family in ("F3", "G", "PROTO_1D"):
+        assert map_from_spec({"family": family, "a": [2]}) == map_from_spec({"family": family, "a": 2})
+        with pytest.raises(DimensionError):
+            map_from_spec({"family": family, "a": [1, 2]})
+
+
+def test_non_finite_parameters_are_rejected():
+    for bad in (math.nan, math.inf, -math.inf):
+        for abc in ((bad, 1.0, 3.0), (1.0, bad, 3.0), (1.0, 1.0, bad)):
+            with pytest.raises(DomainError):
+                Params(*abc)
+        with pytest.raises(DomainError):
+            build_family(3, (1.0, bad, 1.0), 4.0)
+        with pytest.raises(DomainError):
+            build_family(3, (1.0, 1.0, 1.0), bad)
+        for kind in ("quadratic_1d", "product_2d"):
+            with pytest.raises(DomainError):
+                Prototype(kind, bad)
+        for family in ("F3", "G", "PROTO_1D", "FAMILY_K"):
+            with pytest.raises(DomainError):
+                map_from_spec({"family": family, "a": bad})
+    # a single factor takes any weight; nan is what keeps its exponential unshared
+    nan_factor = ElementaryMap(ElementaryKind.OVERSHEAR, (math.nan, math.nan), 1.0)
+    assert all(cmath.isnan(x) for x in nan_factor((1.0, 1.0, 1.0))[:2])

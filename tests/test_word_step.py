@@ -17,6 +17,10 @@ product may round differently from Python's (its vector loops may use fused
 multiply-adds) and np.exp differs from cmath.exp near overflow.  The two are
 compared by which outputs are finite, and by value at the working scale of
 orbits and rasters.
+
+The jet of a factor is the scalar step run on jet variables, and the jets
+of the prototypes come from the same closed form as their values.  Both are
+checked bit for bit against the closed forms written out on jets by hand.
 """
 
 import cmath
@@ -30,15 +34,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from shearbasins import maps
-from shearbasins.jets import DimensionError
+from shearbasins.jets import DimensionError, Jet, JetMap
 from shearbasins.maps import (
     ElementaryKind,
     ElementaryMap,
     MapWord,
     Params,
+    Prototype,
     PushforwardMap,
     build_F,
     build_family,
+    push_forward,
 )
 
 K = ElementaryKind
@@ -320,6 +326,81 @@ def test_batch_step_matches_scalar_step_elementwise(case):
         if finite(scalar) and max(abs(x) for x in p) <= 1.0:
             scale = max(1.0, max(abs(x) for x in scalar))
             assert max(abs(x - y) for x, y in zip(scalar, batch)) <= 1e-9 * scale
+
+
+# ----------------------------------------------------------------------
+# jets
+
+
+def factor_jet_oracle(f: ElementaryMap, order: int) -> JetMap:
+    """The closed form of each kind, written out on jets."""
+    n = f.dim
+    k = len(f.weights)
+    xs = [Jet.variable(n, order, i) for i in range(n)]
+    w = xs[k]
+    zeta = Jet.monomial(n, order, (1,) * k + (0,))
+    if f.kind is K.SHEAR:
+        return JetMap([*xs[:k], w - zeta])
+    if f.kind is K.SHEAR_INV:
+        return JetMap([*xs[:k], w + zeta])
+    if f.kind is K.OVERSHEAR:
+        return JetMap([*(z * (w * a).exp() for z, a in zip(xs, f.weights)), w])
+    if f.kind is K.OVERSHEAR_INV:
+        return JetMap([*(z * (w * -a).exp() for z, a in zip(xs, f.weights)), w])
+    total = sum(f.weights)
+    rate = total + f.w_coeff
+    if f.kind is K.TWIST:
+        return JetMap([*xs[:k], w * (zeta * -rate).exp() + zeta * zeta * total])
+    return JetMap([*xs[:k], (w - zeta * zeta * total) * (zeta * rate).exp()])
+
+
+def prototype_jet_oracle(proto: Prototype, order: int) -> JetMap:
+    if proto.kind == "quadratic_1d":
+        z = Jet.variable(1, order, 0)
+        return JetMap([z + z * z * proto.a])
+    z, w = Jet.variable(2, order, 0), Jet.variable(2, order, 1)
+    factor = Jet.constant(2, order, 1.0) + z * w * 0.5
+    return JetMap([z * factor, w * factor])
+
+
+def jet_bits(jet_map: JetMap) -> list:
+    """Every term with the repr of its real and imaginary parts, so signed
+    zeros count."""
+    return [
+        (c.k, c.order, [(e, repr(x.real), repr(x.imag)) for e, x in c.sorted_terms()])
+        for c in jet_map.components
+    ]
+
+
+FACTOR_WEIGHTS = {
+    "equal": lambda k: (1.0,) * k,
+    "unequal": lambda k: tuple(0.5 * (i + 1) * (-1) ** i for i in range(k)),
+    "signed zeros": lambda k: tuple(-0.0 if i % 2 else 0.0 for i in range(k)),
+    "zero and one": lambda k: tuple(-0.0 if i % 2 else 1.0 for i in range(k)),
+}
+
+
+@pytest.mark.parametrize("weights", sorted(FACTOR_WEIGHTS))
+def test_factor_jets_are_bitwise_the_closed_forms(weights):
+    for kind in ElementaryKind:
+        for k in range(1, 5):
+            f = ElementaryMap(kind, FACTOR_WEIGHTS[weights](k), 3.0)
+            for order in range(13):
+                assert jet_bits(f.jet(order)) == jet_bits(factor_jet_oracle(f, order)), (kind, k, order)
+
+
+def test_prototype_jets_are_bitwise_the_closed_forms():
+    for proto in (Prototype("quadratic_1d", 1.0), Prototype("quadratic_1d", -2.5),
+                  Prototype("quadratic_1d", 0.1), Prototype("product_2d")):
+        for order in range(13):
+            assert jet_bits(proto.jet(order)) == jet_bits(prototype_jet_oracle(proto, order))
+
+
+def test_pushforward_jet_is_the_pushed_forward_word_jet():
+    for params in (Params(1.0, 1.0, 3.0), Params(0.5, 2.0, -1.5)):
+        g = PushforwardMap(build_F(params))
+        for order in (0, 1, 3, 6):
+            assert jet_bits(g.jet(order)) == jet_bits(push_forward(g.word.jet(2 * order)))
 
 
 # ----------------------------------------------------------------------

@@ -31,7 +31,7 @@ from .maps import (
     verify_form_eq1,
     verify_normal_form,
 )
-from .report import FAIL, PASS, SKIP, WARN, CheckResult, Report
+from .report import SKIP, WARN, Report
 
 MAP_CHOICES = ("F3", "G", "PROTO_1D", "PROTO_2D", "FAMILY_K")
 
@@ -381,22 +381,25 @@ def run_verify_suite(params: Params, seed: int = 0) -> Report:
 
 
 def _apply_config_file(ns: argparse.Namespace) -> None:
+    """Override the flags with a JSON object whose keys are options of the
+    command; a map spec (``family`` names the map) may stand at the top
+    level or under ``map``.  Any other key or top level is invalid input."""
     if not getattr(ns, "config", None):
         return
     with open(ns.config) as handle:
         data = json.load(handle)
-    if "family" in data:  # bare map-spec file
+    if not isinstance(data, dict):
+        raise ValueError(f"config file {ns.config}: the top level must be a JSON object")
+    if isinstance(data.get("map"), dict):  # nested map spec; top-level keys win
+        data = {**data.pop("map"), **data}
+    if "family" in data:  # map spec at the top level
         data = {"map": data["family"], **{k: v for k, v in data.items() if k != "family"}}
-    if isinstance(data.get("map"), dict):
-        spec = data.pop("map")
-        data["map"] = spec.get("family")
-        for key in ("a", "b", "c", "k"):
-            if key in spec:
-                data.setdefault(key, spec[key])
+    options = set(vars(ns)) - {"func", "command", "config"}
     for key, value in data.items():
         attr = key.replace("-", "_")
-        if hasattr(ns, attr):
-            setattr(ns, attr, value)
+        if attr not in options:
+            raise ValueError(f"config file {ns.config}: {key!r} is not an option of {ns.command}")
+        setattr(ns, attr, value)
 
 
 def _build_evaluator(ns, family: str | None = None):

@@ -13,25 +13,26 @@ P_i(v) = c_i * v^alpha * v_i with a common exponent alpha, for which the
 full characteristic set is enumerated exactly: coordinate hyperplanes
 {v_j = 0} for j in the support of alpha (all degenerate) and, for every
 index set S containing that support on which the c_i agree, the torus of
-directions supported exactly on S.  Generic leading parts fall back to a
-seeded Newton search on affine charts with projective deduplication.
+directions supported exactly on S.  Any other planar part (k = 2) is
+solved exactly as well: its characteristic directions are the roots of the
+binary form x P_2 - y P_1, or every direction when that form vanishes.
+Other parts in three or four variables raise UnsupportedDimensionError.
 """
 
 from __future__ import annotations
 
-import cmath
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Sequence
 
 import numpy as np
 
-from .jets import DimensionError, DomainError, Jet, JetMap
+from .jets import DomainError, JetMap
 
-RESIDUAL_TOL = 1e-8
 DEGENERATE_TOL = 1e-8
 ATTRACTING_TOL = 1e-10
+_EPS = float(np.finfo(float).eps)
 
 DEGENERATE = "DEGENERATE"
 NON_DEGENERATE_ATTRACTING = "NON_DEGENERATE_ATTRACTING"
@@ -39,7 +40,8 @@ NON_DEGENERATE_OTHER = "NON_DEGENERATE_OTHER"
 
 
 class UnsupportedDimensionError(ValueError):
-    """The direction solver is scoped to at most four variables."""
+    """No exact method for this part: more than four variables, or a part
+    in three or four variables that is not monomial-diagonal."""
 
 
 class IdentityJetError(ValueError):
@@ -116,13 +118,6 @@ def _eval_part(part: JetMap, v: Sequence[complex]) -> np.ndarray:
 def _residual(part: JetMap, v: Sequence[complex], lam: complex) -> float:
     pv = _eval_part(part, v)
     return float(np.linalg.norm(pv - lam * np.asarray(v, dtype=complex)))
-
-
-def _projective_distance(u: Sequence[complex], v: Sequence[complex]) -> float:
-    a = np.asarray(u, dtype=complex)
-    b = np.asarray(v, dtype=complex)
-    inner = abs(np.vdot(a, b)) / (np.linalg.norm(a) * np.linalg.norm(b))
-    return math.sqrt(max(0.0, 1.0 - inner * inner))
 
 
 def _monomial_diagonal(part: JetMap) -> tuple[tuple[int, ...], list[complex]] | None:
@@ -312,155 +307,85 @@ def _exact_directions(
     return out
 
 
-_SEED_RE = {2: (-1.0, -0.5, 0.0, 0.5, 1.0), 3: (-1.0, -0.5, 0.0, 0.5, 1.0), 4: (-1.0, 0.0, 1.0)}
-_SEED_IM = {2: (-1.0, 0.0, 1.0), 3: (-1.0, 0.0, 1.0), 4: (-1.0, 1.0)}
+def _binary_roots(form: np.ndarray, tol: float) -> list[np.ndarray]:
+    """Projective roots [x:y] of the binary form sum_j form[j] x^(n-j) y^j.
 
-
-def _newton_directions(lt: LeadingTerm, names: Sequence[str]) -> list[CharacteristicDirection]:
-    k = lt.part.k
-    jac = lt.part.jacobian()
-
-    found: list[tuple[tuple[complex, ...], complex]] = []
-
-    def record(x: np.ndarray) -> None:
-        v = _normalize(x)
-        vv = np.asarray(v)
-        pv = _eval_part(lt.part, v)
-        lam = complex(np.vdot(vv, pv))
-        res = _residual(lt.part, v, lam)
-        if res > RESIDUAL_TOL:
-            return
-        for idx, (u, lam_u) in enumerate(found):
-            if _projective_distance(u, v) < 1e-6:
-                # keep the sharper of the two representatives
-                if res < _residual(lt.part, u, lam_u):
-                    found[idx] = (v, lam)
-                return
-        found.append((v, lam))
-
-    if k == 1:
-        record(np.array([1.0], dtype=complex))
-    else:
-        seeds_1d = [complex(re, im) for re in _SEED_RE[k] for im in _SEED_IM[k]]
-        for chart in range(k):
-            rows = [i for i in range(k) if i != chart]
-            for seed in itertools.product(seeds_1d, repeat=k - 1):
-                u = np.array(seed, dtype=complex)
-                ok = False
-                for _ in range(40):
-                    x = np.empty(k, dtype=complex)
-                    x[chart] = 1.0
-                    for ri, i in enumerate(rows):
-                        x[i] = u[ri]
-                    px = _eval_part(lt.part, tuple(x))
-                    g = np.array([px[i] - px[chart] * x[i] for i in rows], dtype=complex)
-                    if np.linalg.norm(g) < 1e-13:
-                        ok = True
-                        break
-                    dp = np.array([[jac[i][j](tuple(x)) for j in range(k)] for i in range(k)], dtype=complex)
-                    jg = np.empty((k - 1, k - 1), dtype=complex)
-                    for ri, i in enumerate(rows):
-                        for ci, j in enumerate(rows):
-                            jg[ri, ci] = dp[i, j] - dp[chart, j] * x[i] - (px[chart] if i == j else 0.0)
-                    try:
-                        du = np.linalg.solve(jg, g)
-                    except np.linalg.LinAlgError:
-                        break
-                    u = u - du
-                    if not np.all(np.isfinite(u)) or np.max(np.abs(u)) > 1e6:
-                        break
-                if ok:
-                    x = np.empty(k, dtype=complex)
-                    x[chart] = 1.0
-                    for ri, i in enumerate(rows):
-                        x[i] = u[ri]
-                    record(x)
-
-    # Newton stalls on non-simple roots, leaving a halo of near-duplicates
-    # around the true direction; collapse anything within 1e-4 onto the
-    # member with the smallest residual (an exact hit wins with residual 0).
-    merged: list[tuple[tuple[complex, ...], complex]] = []
-    used = [False] * len(found)
-    order_idx = sorted(
-        range(len(found)),
-        key=lambda i: _residual(lt.part, found[i][0], found[i][1]),
-    )
-    for i in order_idx:
-        if used[i]:
-            continue
-        used[i] = True
-        for j in range(len(found)):
-            if not used[j] and _projective_distance(found[i][0], found[j][0]) < 1e-4:
-                used[j] = True
-        merged.append(found[i])
-    found = merged
-
-    found.sort(key=lambda item: tuple((round(x.real, 8), round(x.imag, 8)) for x in item[0]))
-
-    # clusters of many nearby solutions indicate a positive-dimensional family
-    tags: dict[int, str | None] = {i: None for i in range(len(found))}
-    parent = list(range(len(found)))
-
-    def root(i: int) -> int:
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return i
-
-    for i in range(len(found)):
-        for j in range(i + 1, len(found)):
-            if _projective_distance(found[i][0], found[j][0]) < 1e-2:
-                parent[root(i)] = root(j)
-    cluster_members: dict[int, list[int]] = {}
-    for i in range(len(found)):
-        cluster_members.setdefault(root(i), []).append(i)
-    n_clusters = 0
-    for members in cluster_members.values():
-        if len(members) >= 10:
-            n_clusters += 1
-            for i in members:
-                tags[i] = f"cluster_{n_clusters}"
-
+    Coefficients up to ``tol`` count as zero.  The chart x = 1 gives the
+    numpy.roots of q(t) = sum_j form[j] t^j, plus [0:1] when the top
+    coefficient vanishes.  A root c of multiplicity m comes back as m values
+    spread by about rho = (eps |q|(|c|) / |q^(m)(c) / m!|)^(1/m), eps^(1/m)
+    for a well-separated root; the largest cluster within 4 rho of its mean
+    becomes the mean, which is the root to roundoff.
+    """
+    q = np.where(np.abs(form) <= tol, 0j, form)[::-1]
+    left = sorted(np.roots(q), key=lambda t: (t.real, t.imag))
     out = []
-    for i, (v, lam) in enumerate(found):
-        deg = abs(lam) <= DEGENERATE_TOL
-        d = CharacteristicDirection(
-            v=v,
-            lam=0j if deg else lam,
-            degenerate=deg,
-            directors=(),
-            residual=_residual(lt.part, v, 0j if deg else lam),
-            family_tag=tags[i],
-            family_dim=1 if tags[i] else 0,
-        )
-        if not deg:
-            d = CharacteristicDirection(
-                v=d.v, lam=d.lam, degenerate=False, directors=directors(lt, d),
-                residual=d.residual, family_tag=d.family_tag, family_dim=d.family_dim,
-            )
-        out.append(d)
+    while left:
+        near = sorted(range(len(left)), key=lambda i: abs(left[i] - left[0]))
+        for m in range(len(left), 0, -1):
+            c = sum(left[i] for i in near[:m]) / m
+            spread = max(abs(left[i] - c) for i in near[:m])
+            top = abs(np.polyval(np.polyder(q, m), c)) / math.factorial(m)
+            if (spread / 4) ** m * top <= _EPS * np.polyval(np.abs(q), abs(c)):
+                break
+        out.append(np.array([1.0, c], dtype=complex))
+        left = [t for i, t in enumerate(left) if i not in near[:m]]
+    if q[0] == 0:
+        out.append(np.array([0.0, 1.0], dtype=complex))
     return out
+
+
+def _root_direction(lt: LeadingTerm, x: np.ndarray) -> CharacteristicDirection:
+    v = _normalize(x)
+    lam = complex(np.vdot(np.asarray(v), _eval_part(lt.part, v)))
+    if abs(lam) <= DEGENERATE_TOL:
+        return CharacteristicDirection(v, 0j, True, (), _residual(lt.part, v, 0j))
+    d = CharacteristicDirection(v, lam, False, (), _residual(lt.part, v, lam))
+    return replace(d, directors=directors(lt, d))
+
+
+def _binary_form_directions(lt: LeadingTerm) -> list[CharacteristicDirection]:
+    """Directions of a planar part as the roots of x P_2 - y P_1.
+
+    In C^2 these roots are exactly the characteristic directions (Hakim
+    1998; Abate 2001).  When the form vanishes identically the part is
+    dicritical, P = h (x, y): every direction is characteristic, the
+    induced map of the projective line is the identity, so the directors
+    are 0, and the degenerate ones are the roots of h.
+    """
+    r = lt.degree
+    p1, p2 = lt.part.components
+    tol = 1e-12 * max(abs(c) for comp in (p1, p2) for c in comp.terms.values())
+    form = np.array([p2.coefficient((r - j, j)) - p1.coefficient((r + 1 - j, j - 1)) for j in range(r + 2)])
+    if np.any(np.abs(form) > tol):
+        return [_root_direction(lt, x) for x in _binary_roots(form, tol)]
+    # h has degree r - 1, so it is nonzero at one of any r directions
+    reps = [_root_direction(lt, np.array([1.0, j], dtype=complex)) for j in range(r)]
+    family = replace(max(reps, key=lambda d: abs(d.lam)), directors=(0j,), family_tag="dicritical", family_dim=1)
+    h = np.array([p1.coefficient((r - j, j)) for j in range(r)])
+    return [family] + [_root_direction(lt, x) for x in _binary_roots(h, tol)]
 
 
 def characteristic_directions(
     lt: LeadingTerm,
     names: Sequence[str] | None = None,
-    force_newton: bool = False,
 ) -> list[CharacteristicDirection]:
     """All characteristic directions of the leading part (k <= 4).
 
     Monomial-diagonal parts are enumerated exactly, including the
-    positive-dimensional families; anything else goes through the Newton
-    search.  Every returned direction satisfies the residual bound
-    ||P(v) - lambda v|| <= 1e-8 at ||v|| = 1.
+    positive-dimensional families; other planar parts go through the roots
+    of the binary form x P_2 - y P_1.  Any other part raises
+    UnsupportedDimensionError.  Every returned direction satisfies the
+    residual bound ||P(v) - lambda v|| <= 1e-8 at ||v|| = 1.
     """
     k = lt.part.k
     if k > 4:
         raise UnsupportedDimensionError(f"direction solver supports k <= 4, got {k}")
     if names is None:
         names = [f"x{i}" for i in range(k)]
-    if not force_newton:
-        structure = _monomial_diagonal(lt.part)
-        if structure is not None:
-            return _exact_directions(lt, structure[0], structure[1], names)
-    return _newton_directions(lt, names)
+    structure = _monomial_diagonal(lt.part)
+    if structure is not None:
+        return _exact_directions(lt, structure[0], structure[1], names)
+    if k == 2:
+        return _binary_form_directions(lt)
+    raise UnsupportedDimensionError(f"no direction solver for a non-diagonal part in {k} variables")

@@ -16,12 +16,12 @@ import cmath
 import math
 import os
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field, replace
-from typing import Callable, Sequence
+from dataclasses import dataclass
+from typing import Callable, Protocol, Sequence
 
 import numpy as np
 
-from .jets import DimensionError
+from .jets import DimensionError, DomainError
 from .maps import MapWord, Prototype, PushforwardMap, eval_pushforward, project_pi
 from .report import Report, WARN
 
@@ -578,6 +578,9 @@ class SliceSpec:
     def __post_init__(self):
         if self.width < 1 or self.height < 1:
             raise ValueError("resolution must be at least 1x1")
+        values = (*self.base, *self.dir1, *self.dir2, *self.u_range, *self.v_range, self.w_fix)
+        if not all(cmath.isfinite(x) for x in values):
+            raise DomainError("slice base, directions, ranges and w_fix must be finite")
         if self.lift not in ("none", "pos", "neg"):
             raise ValueError("lift must be 'none', 'pos' or 'neg'")
         if self.lift == "none":
@@ -650,11 +653,12 @@ class BasinRaster:
         }
 
 
-_STATUS_CODE = {ESCAPED: CODE_ESCAPED, CONVERGED: CODE_CONVERGED, UNDECIDED: CODE_UNDECIDED}
+class BatchMap(Protocol):
+    def eval_batch(self, coords: list[np.ndarray]) -> list[np.ndarray]: ...
 
 
 def classify_batch(
-    map_obj, coords: list[np.ndarray], cfg: OrbitConfig
+    map_obj: BatchMap, coords: list[np.ndarray], cfg: OrbitConfig
 ) -> tuple[np.ndarray, np.ndarray]:
     """Vectorized orbit classification, same decision sequence as iterate().
 
@@ -746,31 +750,19 @@ def _band_starts(spec: SliceSpec, row_start: int, row_end: int) -> list[np.ndarr
 
 def _classify_band(args) -> tuple[int, np.ndarray, np.ndarray]:
     map_obj, spec, cfg, row_start, row_end = args
-    if hasattr(map_obj, "eval_batch"):
-        coords = _band_starts(spec, row_start, row_end)
-        codes, iters = classify_batch(map_obj, coords, cfg)
-        return row_start, codes, iters
-    fast_cfg = replace(cfg, record_stride=cfg.max_iter + 1)
-    shape = (row_end - row_start, spec.width)
-    codes = np.zeros(shape, dtype=np.uint8)
-    iters = np.zeros(shape, dtype=np.int32)
-    vs = spec.axis_v()[row_start:row_end]
-    for r, v in enumerate(vs):
-        for i, u in enumerate(spec.axis_u()):
-            orbit = iterate(map_obj, spec.start_point(u, v), fast_cfg)
-            codes[r, i] = _STATUS_CODE[orbit.status.kind]
-            iters[r, i] = orbit.status.index if orbit.status.index is not None else cfg.max_iter
+    codes, iters = classify_batch(map_obj, _band_starts(spec, row_start, row_end), cfg)
     return row_start, codes, iters
 
 
 def sample_slice(
-    map_obj: Callable,
+    map_obj: BatchMap,
     spec: SliceSpec,
     cfg: OrbitConfig | None = None,
     workers: int = 1,
 ) -> BasinRaster:
-    """Classify every pixel of the slice.
+    """Classify every pixel of the slice with ``classify_batch``.
 
+    The map needs ``eval_batch``; every map class of the package has one.
     Rows are processed in bands; every operation inside a band is
     elementwise per pixel, so the output does not depend on the banding
     and is identical for any worker count.  At most one worker per usable

@@ -235,6 +235,21 @@ def test_basin_lift_branch_choice_is_byte_identical(tmp_path, capsys):
     assert plus.read_bytes() == minus.read_bytes()
 
 
+@pytest.mark.parametrize("argv", [
+    ("--lift", "pos", "--w-fix", "nan"),
+    ("--slice", "nan", "0.5", "-1", "1"),
+    ("--map", "PROTO_1D", "--base", "nan"),
+    ("--base", "0,inf,0"),
+    ("--dir2", "0,nanj,0"),
+])
+def test_basin_non_finite_slice_is_exit_two(tmp_path, capsys, argv):
+    out_path = tmp_path / "basin.pgm"
+    code, out, err = run(capsys, "basin", "--res", "4", "4", "--out", str(out_path), *argv)
+    assert code == 2
+    assert out == "" and not out_path.exists()
+    assert "must be finite" in err
+
+
 def test_basin_bad_map_is_exit_two(capsys):
     code, _, _ = run(capsys, "basin", "--map", "NOPE")
     assert code == 2
@@ -344,6 +359,24 @@ def test_non_finite_parameters_are_exit_two(capsys, argv):
     assert code == 2
     assert "nan" not in out
     assert "must be finite" in err
+
+
+@pytest.mark.parametrize("data, message", [
+    ({"func": 1}, "'func' is not an option of expand"),
+    ({"command": "verify"}, "'command' is not an option of expand"),
+    ({"config": "other.json"}, "'config' is not an option of expand"),
+    ({"order": 2, "out": "x.pgm"}, "'out' is not an option of expand"),
+    ({"map": {"family": "G", "colour": 1}}, "'colour' is not an option of expand"),
+    ([1, 2], "the top level must be a JSON object"),
+    ("F3", "the top level must be a JSON object"),
+])
+def test_config_file_with_other_keys_is_exit_two(tmp_path, capsys, data, message):
+    config = tmp_path / "bad.json"
+    config.write_text(json.dumps(data))
+    code, out, err = run(capsys, "expand", "--config", str(config))
+    assert code == 2
+    assert out == ""
+    assert message in err
 
 
 def test_missing_config_file_is_exit_two(capsys):

@@ -272,10 +272,10 @@ def test_characteristic_set_dimension_matches_hyperplane_cone():
 
 
 # ----------------------------------------------------------------------
-# Newton fallback
+# binary-form solver for planar parts that are not monomial-diagonal
 
 
-def test_newton_finds_isolated_direction_of_generic_part():
+def test_binary_form_finds_isolated_direction_of_generic_part():
     from shearbasins.directions import LeadingTerm
 
     # P(x, y) = (x^2 + y^2, x y): only [1:0] solves P(v) = lambda v
@@ -288,14 +288,55 @@ def test_newton_finds_isolated_direction_of_generic_part():
     assert d.residual <= 1e-8
 
 
-def test_newton_agrees_with_exact_solver_on_planar_part():
-    from shearbasins.directions import LeadingTerm
+def test_binary_form_agrees_with_exact_solver_on_planar_part():
+    from shearbasins.directions import LeadingTerm, _binary_form_directions
 
     lt = LeadingTerm(2, planar_part(1.0, 3.0))
     exact = characteristic_directions(lt, names=("x", "y"))
-    newton = characteristic_directions(lt, names=("x", "y"), force_newton=True)
+    binary = _binary_form_directions(lt)
     # the isolated non-degenerate direction and the degenerate axis both appear
     def signature(dirs):
         return sorted((d.degenerate, round(abs(d.v[0]), 6), round(abs(d.lam), 6)) for d in dirs)
 
-    assert signature(newton) == signature(exact)
+    assert signature(binary) == signature(exact)
+
+
+def test_binary_form_reports_a_dicritical_part_as_one_family():
+    from shearbasins.directions import LeadingTerm
+
+    # P = (x + y) (x, y): every direction is characteristic
+    x, y = Jet.variable(2, 2, 0), Jet.variable(2, 2, 1)
+    found = characteristic_directions(LeadingTerm(2, JetMap([(x + y) * x, (x + y) * y])))
+    family = [d for d in found if d.family_dim == 1]
+    assert len(family) == 1
+    assert not family[0].degenerate
+    assert family[0].directors == pytest.approx((0.0,), abs=1e-12)
+    assert family[0].residual <= 1e-8
+    degenerate = [d for d in found if d.degenerate]
+    assert len(degenerate) == 1 and len(found) == 2
+    v = degenerate[0].v
+    assert abs(v[0] + v[1]) <= 1e-12  # [1:-1]
+    assert characteristic_set_dimension(found) == 2
+
+
+def test_binary_form_merges_a_quadruple_root():
+    from shearbasins.directions import LeadingTerm
+
+    # x P_2 - y P_1 = x y (y - 2x)^4: the roots are [0:1], [1:0] and [1:2] (four times)
+    x, y = Jet.variable(2, 5, 0), Jet.variable(2, 5, 1)
+    h = x * x * x * x + y * y * y * y
+    q = (y - 2 * x) * (y - 2 * x)
+    found = characteristic_directions(LeadingTerm(5, JetMap([h * x - x * q * q, h * y])))
+    slopes = sorted((d.v[1] / d.v[0] if abs(d.v[0]) > 1e-12 else math.inf for d in found), key=abs)
+    assert len(found) == 3
+    assert slopes[0] == 0 and abs(slopes[1] - 2) <= 1e-8 and slopes[2] == math.inf
+    assert all(d.residual <= 1e-8 for d in found)
+
+
+def test_non_diagonal_part_in_three_variables_is_unsupported():
+    from shearbasins.directions import LeadingTerm
+
+    z, t, w = (Jet.variable(3, 2, i) for i in range(3))
+    part = JetMap([z * z + t * t, z * t, w * w])
+    with pytest.raises(UnsupportedDimensionError):
+        characteristic_directions(LeadingTerm(2, part))

@@ -407,11 +407,10 @@ def test_product_prototype_zeta_raster_matches_1d_model():
     cfg_1d = OrbitConfig(max_iter=4000, eps_converged=eps_1d, record_stride=9999)
 
     class OneDProductModel:
-        dim = 1
-
-        def __call__(self, p):
-            u = p[0]
-            return (u * (1 + 0.5 * u) ** 2,)
+        def eval_batch(self, coords):
+            u = coords[0]
+            square = (1 + 0.5 * u) ** 2
+            return [u * square]
 
     proto = Prototype("product_2d")
     kwargs = dict(u_range=(-1.2, 0.4), v_range=(-0.8, 0.8), width=40, height=40)

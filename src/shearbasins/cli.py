@@ -10,6 +10,7 @@ A JSON file passed through --config overrides the command-line flags.
 from __future__ import annotations
 
 import argparse
+import cmath
 import json
 import math
 import random
@@ -380,10 +381,13 @@ def run_verify_suite(params: Params, seed: int = 0) -> Report:
 # config plumbing
 
 
-def _apply_config_file(ns: argparse.Namespace) -> None:
+def _apply_config_file(ns: argparse.Namespace, parser: argparse.ArgumentParser) -> None:
     """Override the flags with a JSON object whose keys are options of the
     command; a map spec (``family`` names the map) may stand at the top
-    level or under ``map``.  Any other key or top level is invalid input."""
+    level or under ``map``.  Each value passes through its option's type
+    (str if it has none), and a list is accepted only by an option that
+    takes several values, with as many items as the option takes.  Any
+    other key, value or top level is invalid."""
     if not getattr(ns, "config", None):
         return
     with open(ns.config) as handle:
@@ -394,12 +398,20 @@ def _apply_config_file(ns: argparse.Namespace) -> None:
         data = {**data.pop("map"), **data}
     if "family" in data:  # map spec at the top level
         data = {"map": data["family"], **{k: v for k, v in data.items() if k != "family"}}
-    options = set(vars(ns)) - {"func", "command", "config"}
+    command = parser._subparsers._group_actions[0].choices[ns.command]
+    options = {a.dest: a for a in command._actions if a.dest not in ("help", "config")}
     for key, value in data.items():
-        attr = key.replace("-", "_")
-        if attr not in options:
+        action = options.get(key.replace("-", "_"))
+        if action is None:
             raise ValueError(f"config file {ns.config}: {key!r} is not an option of {ns.command}")
-        setattr(ns, attr, value)
+        values = value if isinstance(value, list) and action.nargs else [value]
+        try:
+            if any(isinstance(v, (list, dict)) for v in values) or action.nargs not in (None, "+", len(values)):
+                raise TypeError
+            typed = [(action.type or str)(v) for v in values]
+        except (TypeError, ValueError):
+            raise ValueError(f"config file {ns.config}: {value!r} is not a valid value of {key!r}") from None
+        setattr(ns, action.dest, typed if values is value else typed[0])
 
 
 def _build_evaluator(ns, family: str | None = None):
@@ -433,7 +445,7 @@ def _write_json(ns, payload: dict) -> None:
 
 
 def cmd_expand(ns) -> int:
-    order = int(ns.order if ns.order is not None else 3)
+    order = ns.order if ns.order is not None else 3
     jet_map, names = _build_jet(ns, order)
     print(f"map {ns.map}, truncation order {order}")
     for i, comp in enumerate(jet_map.components):
@@ -444,14 +456,14 @@ def cmd_expand(ns) -> int:
 
 
 def cmd_verify(ns) -> int:
-    report = run_verify_suite(_params(_build_evaluator(ns, "F3")), seed=int(ns.seed or 0))
+    report = run_verify_suite(_params(_build_evaluator(ns, "F3")), seed=ns.seed)
     print(report.to_text())
     _write_json(ns, report.to_dict())
     return 0 if report.passed else 1
 
 
 def cmd_directions(ns) -> int:
-    order = int(ns.order if ns.order is not None else DEFAULT_ORDER)
+    order = ns.order if ns.order is not None else DEFAULT_ORDER
     jet_map, names = _build_jet(ns, order)
     lt = dirs_mod.leading_term(jet_map)
     found = dirs_mod.characteristic_directions(lt, names=names)
@@ -504,21 +516,18 @@ def cmd_directions(ns) -> int:
     return 0
 
 
-def _orbit_config(ns) -> dyn.OrbitConfig:
-    return dyn.OrbitConfig(
-        max_iter=int(ns.max_iter if ns.max_iter is not None else 100_000),
-        eps_converged=float(ns.eps if ns.eps is not None else 1e-3),
-        escape_radius=float(ns.escape if ns.escape is not None else 10.0),
-        record_stride=int(ns.stride if ns.stride is not None else 1),
-    )
+def _coords(text: str) -> tuple[complex, ...]:
+    return tuple(complex(s) for s in text.split(","))
 
 
 def cmd_orbit(ns) -> int:
     evaluator = _build_evaluator(ns)
-    start = tuple(complex(s.strip()) for s in ns.start.split(","))
+    start = _coords(ns.start)
+    if not all(map(cmath.isfinite, start)):
+        raise DomainError("orbit start coordinates must be finite")
     if len(start) != evaluator.dim:
         raise DimensionError(f"start point has {len(start)} coordinates, map needs {evaluator.dim}")
-    cfg = _orbit_config(ns)
+    cfg = dyn.OrbitConfig(ns.max_iter, ns.eps, ns.escape, ns.stride)
     orbit = dyn.iterate(evaluator, start, cfg)
     print(f"status: {orbit.status}")
     if orbit.status.note:
@@ -541,14 +550,13 @@ def cmd_orbit(ns) -> int:
 
 def cmd_basin(ns) -> int:
     evaluator = _build_evaluator(ns)
-    umin, umax, vmin, vmax = (float(x) for x in ns.slice)
-    width, height = (int(x) for x in ns.res)
-    lift = ns.lift or "none"
-    if lift == "none":
+    umin, umax, vmin, vmax = ns.slice
+    width, height = ns.res
+    if ns.lift == "none":
         dim = evaluator.dim
-        base = tuple(complex(s) for s in ns.base.split(",")) if ns.base else (0j,) * dim
-        dir1 = tuple(complex(s) for s in ns.dir1.split(",")) if ns.dir1 else (1 + 0j,) + (0j,) * (dim - 1)
-        dir2 = tuple(complex(s) for s in ns.dir2.split(",")) if ns.dir2 else (1j,) + (0j,) * (dim - 1)
+        base = _coords(ns.base) if ns.base else (0j,) * dim
+        dir1 = _coords(ns.dir1) if ns.dir1 else (1 + 0j,) + (0j,) * (dim - 1)
+        dir2 = _coords(ns.dir2) if ns.dir2 else (1j,) + (0j,) * (dim - 1)
         spec = dyn.SliceSpec(base=base, dir1=dir1, dir2=dir2,
                              u_range=(umin, umax), v_range=(vmin, vmax),
                              width=width, height=height)
@@ -559,16 +567,15 @@ def cmd_basin(ns) -> int:
         spec = dyn.SliceSpec(base=filler, dir1=filler, dir2=filler,
                              u_range=(umin, umax), v_range=(vmin, vmax),
                              width=width, height=height,
-                             lift=lift, w_fix=complex(ns.w_fix or 0.0))
-    cfg = _orbit_config(ns)
-    raster = dyn.sample_slice(evaluator, spec, cfg, workers=int(ns.workers or 1))
-    out = ns.out or "basin.pgm"
-    dyn.write_pgm(raster, out)
+                             lift=ns.lift, w_fix=complex(ns.w_fix or 0.0))
+    cfg = dyn.OrbitConfig(ns.max_iter, ns.eps, ns.escape, ns.stride)
+    raster = dyn.sample_slice(evaluator, spec, cfg, workers=ns.workers)
+    dyn.write_pgm(raster, ns.out)
     sidecar = dyn.raster_sidecar(raster, spec, cfg)
-    with open(out + ".json", "w") as handle:
+    with open(ns.out + ".json", "w") as handle:
         json.dump(sidecar, handle, sort_keys=True, indent=1)
         handle.write("\n")
-    print(f"raster {width}x{height} written to {out}; counts {raster.counts()}")
+    print(f"raster {width}x{height} written to {ns.out}; counts {raster.counts()}")
     return 0
 
 
@@ -576,10 +583,10 @@ def cmd_family(ns) -> int:
     word = _build_evaluator(ns, "FAMILY_K")
     weights, w_coeff = list(word.factors[0].weights), word.factors[0].w_coeff
     k = len(weights)
-    order = int(ns.order if ns.order is not None else DEFAULT_ORDER)
+    order = ns.order if ns.order is not None else DEFAULT_ORDER
     report = verify_normal_form(word.jet(order), weights, w_coeff, note_literal_remainder=True)
 
-    rng = random.Random(int(ns.seed or 0))
+    rng = random.Random(ns.seed)
     inverse = word.inverse()
     worst = 0.0
     for _ in range(50):
@@ -615,6 +622,13 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--json-out", default=None)
 
 
+def _add_orbit_options(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument("--max-iter", type=int, default=100_000)
+    parser.add_argument("--eps", type=float, default=1e-3)
+    parser.add_argument("--escape", type=float, default=10.0)
+    parser.add_argument("--stride", type=int, default=1)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="shearbasins", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
@@ -634,28 +648,22 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("orbit", help="iterate one orbit and dump it as CSV")
     _add_common(p)
     p.add_argument("--start", default="0.1,0.1,0.05", help="comma-separated complex coordinates")
-    p.add_argument("--max-iter", type=int, default=None)
-    p.add_argument("--eps", type=float, default=None)
-    p.add_argument("--escape", type=float, default=None)
-    p.add_argument("--stride", type=int, default=None)
+    _add_orbit_options(p)
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_orbit)
 
     p = sub.add_parser("basin", help="rasterize a basin slice to PGM")
     _add_common(p)
-    p.add_argument("--slice", nargs=4, default=("-1.5", "0.5", "-1.0", "1.0"),
+    p.add_argument("--slice", type=float, nargs=4, default=(-1.5, 0.5, -1.0, 1.0),
                    metavar=("UMIN", "UMAX", "VMIN", "VMAX"))
-    p.add_argument("--res", nargs=2, default=("200", "200"), metavar=("W", "H"))
+    p.add_argument("--res", type=int, nargs=2, default=(200, 200), metavar=("W", "H"))
     p.add_argument("--base", default=None)
     p.add_argument("--dir1", default=None)
     p.add_argument("--dir2", default=None)
-    p.add_argument("--lift", choices=("none", "pos", "neg"), default=None,
+    p.add_argument("--lift", choices=("none", "pos", "neg"), default="none",
                    help="render through the square-root lift of the pixel value")
     p.add_argument("--w-fix", type=float, default=None)
-    p.add_argument("--max-iter", type=int, default=None)
-    p.add_argument("--eps", type=float, default=None)
-    p.add_argument("--escape", type=float, default=None)
-    p.add_argument("--stride", type=int, default=None)
+    _add_orbit_options(p)
     p.add_argument("--workers", type=int, default=1)
     p.add_argument("--out", default="basin.pgm")
     p.set_defaults(func=cmd_basin)
@@ -671,7 +679,7 @@ def main(argv=None) -> int:
     parser = build_parser()
     try:
         ns = parser.parse_args(argv)
-        _apply_config_file(ns)
+        _apply_config_file(ns, parser)
         return ns.func(ns)
     except SystemExit as exc:  # argparse uses 2 for bad usage already
         return int(exc.code or 0)

@@ -15,6 +15,7 @@ from __future__ import annotations
 import cmath
 import math
 import os
+import random
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import Callable, Protocol, Sequence
@@ -90,7 +91,11 @@ class Orbit:
 
 
 def _norm(p: Sequence[complex]) -> float:
-    return math.sqrt(sum(x.real * x.real + x.imag * x.imag for x in p))
+    """The squares added left to right, as ``sum`` adds them before Python 3.12."""
+    total = 0.0
+    for x in p:
+        total += x.real * x.real + x.imag * x.imag
+    return math.sqrt(total)
 
 
 def _finite(p: Sequence[complex]) -> bool:
@@ -123,40 +128,43 @@ def iterate(evaluator: Callable, p0: Sequence[complex], cfg: OrbitConfig | None 
     cur_block_max = _norm(p)
     window_ok = False
     status: Status | None = None
+    eps, radius, stride, isfinite, norm = (
+        cfg.eps_converged, cfg.escape_radius, cfg.record_stride, math.isfinite, _norm)
 
     for n in range(1, cfg.max_iter + 1):
         q = evaluator(p)
-        nrm = _norm(q)
+        nrm = norm(q)
         # a non-finite coordinate gives a non-finite norm; a norm that
         # overflows from finite coordinates is a plain escape below
-        if not math.isfinite(nrm) and not _finite(q):
+        if not isfinite(nrm) and not _finite(q):
             status = Status(ESCAPED, n, "non-finite arithmetic")
             record(q, n)
             break
-        if nrm > cfg.escape_radius:
+        if nrm > radius:
             status = Status(ESCAPED, n)
             record(q, n)
             break
         if q == p:
-            if nrm < cfg.eps_converged:
+            if nrm < eps:
                 status = Status(CONVERGED, n, "stationary inside the eps ball")
             else:
                 status = Status(UNDECIDED, n, "stationary orbit (fixed point off the origin)")
             record(q, n)
             break
 
-        cur_block_max = max(cur_block_max, nrm)
+        if nrm > cur_block_max:
+            cur_block_max = nrm
         if n % _WINDOW == 0:
             window_ok = prev_block_max is not None and cur_block_max <= prev_block_max
             prev_block_max = cur_block_max
             cur_block_max = 0.0
 
-        if nrm < cfg.eps_converged and window_ok:
+        if nrm < eps and window_ok:
             status = Status(CONVERGED, n)
             record(q, n)
             break
 
-        if n % cfg.record_stride == 0:
+        if n % stride == 0:
             record(q, n)
         p = q
 
@@ -231,8 +239,6 @@ def check_semiconjugacy(
     orbit_steps: int = 1000,
 ) -> Report:
     """Pointwise and orbit-level commutation of projection and dynamics."""
-    import random
-
     rng = rng or random.Random(0)
     report = Report(title="semi-conjugacy")
 
@@ -272,8 +278,6 @@ def check_equivariance(
     status_cfg: OrbitConfig | None = None,
 ) -> Report:
     """Commutation with (z, t) -> (lambda z, t/lambda) plus the status corollary."""
-    import random
-
     rng = rng or random.Random(0)
     report = Report(title="equivariance")
 
@@ -323,8 +327,6 @@ def check_fiber_invariance(
     cfg: OrbitConfig | None = None,
 ) -> Report:
     """Status and zeta-trace depend only on (z t, w)."""
-    import random
-
     rng = rng or random.Random(0)
     cfg = cfg or OrbitConfig(max_iter=20_000, eps_converged=0.02, record_stride=10)
     report = Report(title="fiber invariance")
@@ -373,8 +375,6 @@ def check_projection_statuses(
     as borderline; the report lists them and any genuine disagreements with
     the sign structure of the starting product coordinate.
     """
-    import random
-
     rng = rng or random.Random(0)
     cfg = cfg or OrbitConfig(max_iter=20_000, eps_converged=0.02, record_stride=10_000)
     report = Report(title="projection statuses")
@@ -460,8 +460,6 @@ def check_product_recursion(
     tol: float = 1e-14,
 ) -> Report:
     """The 2D product prototype sends u = z w to u (1 + u/2)^2 exactly."""
-    import random
-
     rng = rng or random.Random(0)
     proto = Prototype("product_2d")
     report = Report(title="product recursion")
@@ -766,7 +764,9 @@ def sample_slice(
     Rows are processed in bands; every operation inside a band is
     elementwise per pixel, so the output does not depend on the banding
     and is identical for any worker count.  At most one worker per usable
-    CPU is started.
+    CPU is started.  One worker takes the whole slice as one band; w > 1
+    workers share min(height, max(w, min(4w, pixels // 4096))) bands, so
+    a small slice pays numpy's per-step overhead w times, not 4w times.
     """
     cfg = cfg or OrbitConfig()
     codes = np.zeros((spec.height, spec.width), dtype=np.uint8)
@@ -777,7 +777,7 @@ def sample_slice(
         bands = [(map_obj, spec, cfg, 0, spec.height)]
         results = map(_classify_band, bands)
     else:
-        n_bands = min(spec.height, 4 * workers)
+        n_bands = min(spec.height, max(workers, min(4 * workers, spec.height * spec.width // 4096)))
         edges = [round(i * spec.height / n_bands) for i in range(n_bands + 1)]
         bands = [
             (map_obj, spec, cfg, lo, hi)

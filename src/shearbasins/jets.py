@@ -112,9 +112,6 @@ class Jet:
     def l1_norm(self) -> float:
         return sum(abs(c) for c in self.terms.values())
 
-    def min_degree(self) -> int | None:
-        return min((sum(e) for e in self.terms), default=None)
-
     def __iter__(self) -> Iterator[tuple[tuple[int, ...], complex]]:
         return iter(self.sorted_terms())
 
@@ -192,18 +189,6 @@ class Jet:
     def __truediv__(self, scalar: complex) -> "Jet":
         return self.__mul__(1.0 / complex(scalar))
 
-    def __pow__(self, n: int) -> "Jet":
-        if not isinstance(n, int) or n < 0:
-            raise ValueError("jet powers take non-negative integer exponents")
-        result = Jet.constant(self.k, self.order, 1.0)
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base if n > 1 else base
-            n >>= 1
-        return result
-
     def exp(self) -> "Jet":
         """Truncated exponential sum_{m<=order} self^m / m!.
 
@@ -242,11 +227,6 @@ class Jet:
         if not 0 <= degree <= self.order:
             raise OrderRangeError(f"degree {degree} outside [0, {self.order}]")
         return Jet(self.k, self.order, {e: c for e, c in self.terms.items() if sum(e) == degree})
-
-    def truncate(self, new_order: int) -> "Jet":
-        if new_order > self.order:
-            raise OrderRangeError("cannot extend a jet past its truncation order")
-        return Jet(self.k, new_order, {e: c for e, c in self.terms.items() if sum(e) <= new_order})
 
     def __call__(self, point: Sequence[complex]) -> complex:
         if len(point) != self.k:

@@ -108,7 +108,7 @@ def _compile(factors: Sequence[ElementaryMap]):
     """Straight-line scalar and batch steps of the word ``factors``."""
     zs = [f"z{i}" for i in range(len(factors[0].weights))]
     coords = ", ".join([*zs, "w"])
-    namespace = {"_cexp": _cexp, "np": np, "DimensionError": DimensionError}
+    namespace = {"cmath": cmath, "np": np, "DimensionError": DimensionError}
 
     def body(batch: bool, indent: str) -> str:
         # owned: the arrays this batch step allocated, the only ones it adds
@@ -150,7 +150,7 @@ def _compile(factors: Sequence[ElementaryMap]):
     scalar_body = body(False, "    ")
     batch_body = body(True, "        ")
     exec(f"""
-def step(p, exp=_cexp, convert=complex):
+def step(p, exp=cmath.exp, convert=complex):
     try:
         {coords} = p
     except ValueError:
@@ -203,10 +203,12 @@ class MapWord:
     weights enter as the float-complex products a * w and -a * w, _cexp
     turns overflow into inf, and the twist's total is sum(weights) from int
     0.  A zeta product is reused only across factors that leave every z_i
-    unchanged.
+    unchanged.  The scalar step calls cmath.exp directly; only when it
+    raises (overflow, or an infinite argument) does ``__call__`` rerun the
+    step with _cexp, which returns cmath.exp's value wherever that returns.
 
     The scalar step also serves jets: its exponential and its coordinate
-    conversion are parameters, _cexp and complex by default, and
+    conversion are parameters, cmath.exp and complex by default, and
     ElementaryMap.jet runs it on Jet variables with Jet.exp and no
     conversion.  They exist for that one caller and are not user options.
 
@@ -248,7 +250,10 @@ class MapWord:
         return self.factors[0].dim
 
     def __call__(self, p: Sequence[complex]) -> tuple[complex, ...]:
-        return self._step(p)
+        try:
+            return self._step(p)
+        except (OverflowError, ValueError):
+            return self._step(p, _cexp)
 
     def eval_batch(self, coords: list[np.ndarray]) -> list[np.ndarray]:
         return self._batch(coords)

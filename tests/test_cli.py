@@ -190,6 +190,14 @@ def test_orbit_dimension_mismatch_is_exit_two(capsys):
     assert "error" in err
 
 
+@pytest.mark.parametrize("start", ["nan,0.1,0.1", "0.1,inf,0.1", "0.1,0.1,-infj"])
+def test_orbit_non_finite_start_is_exit_two(capsys, start):
+    code, out, err = run(capsys, "orbit", "--start", start)
+    assert code == 2
+    assert out == ""
+    assert "orbit start coordinates must be finite" in err
+
+
 # ----------------------------------------------------------------------
 # basin
 
@@ -377,6 +385,39 @@ def test_config_file_with_other_keys_is_exit_two(tmp_path, capsys, data, message
     assert code == 2
     assert out == ""
     assert message in err
+
+
+@pytest.mark.parametrize("command, data, message", [
+    ("expand", {"order": [1]}, "[1] is not a valid value of 'order'"),
+    ("orbit", {"max-iter": [5]}, "[5] is not a valid value of 'max-iter'"),
+    ("expand", {"seed": "x"}, "'x' is not a valid value of 'seed'"),
+    ("expand", {"a": [[1]]}, "[[1]] is not a valid value of 'a'"),
+    ("orbit", {"start": {"z": 1}}, "{'z': 1} is not a valid value of 'start'"),
+    ("basin", {"slice": 1}, "1 is not a valid value of 'slice'"),
+    ("basin", {"res": [100]}, "[100] is not a valid value of 'res'"),
+])
+def test_config_value_of_the_wrong_type_is_exit_two(tmp_path, capsys, command, data, message):
+    config = tmp_path / "bad.json"
+    config.write_text(json.dumps(data))
+    code, out, err = run(capsys, command, "--config", str(config))
+    assert code == 2
+    assert out == ""
+    assert message in err
+
+
+def test_config_values_pass_through_the_option_types(tmp_path, capsys):
+    config = tmp_path / "run.json"
+    config.write_text(json.dumps({"start": "0.1,0.1,0.05", "max-iter": "7", "stride": 7}))
+    code, out, _ = run(capsys, "orbit", "--config", str(config))
+    assert code == 0
+    assert "after index 7" in out
+    config.write_text(json.dumps({"map": "PROTO_1D", "slice": [-1.5, 0.5, -1, 1], "res": [12, 10],
+                                  "max-iter": 50, "out": str(tmp_path / "config.pgm")}))
+    assert run(capsys, "basin", "--config", str(config))[0] == 0
+    assert run(capsys, "basin", "--map", "PROTO_1D", "--slice", "-1.5", "0.5", "-1", "1", "--res", "12", "10",
+               "--max-iter", "50", "--out", str(tmp_path / "flags.pgm"))[0] == 0
+    for suffix in ("", ".json"):
+        assert (tmp_path / f"config.pgm{suffix}").read_bytes() == (tmp_path / f"flags.pgm{suffix}").read_bytes()
 
 
 def test_missing_config_file_is_exit_two(capsys):

@@ -7,13 +7,19 @@ actually cross within the iteration budget.
 """
 
 import cmath
+import functools
 import math
+import operator
 import os
 import random
+import struct
+import sys
 import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from shearbasins import dynamics
 from shearbasins.dynamics import (
@@ -50,6 +56,22 @@ QUAD = Prototype("quadratic_1d", 1.0)
 
 # ----------------------------------------------------------------------
 # iterate
+
+
+# what math.sqrt(sum(<squares>)) computes before Python 3.12, whose sum
+# compensates rounding: the squares added left to right, starting from 0
+_plain_sum = sum if sys.version_info < (3, 12) else lambda xs: functools.reduce(operator.add, xs, 0)
+
+SPECIAL_PARTS = [0.0, -0.0, 5e-324, -2.5e-320, 2.2250738585072014e-308, 1.0, -3.0,
+                 1e154, -9.99e153, 1.34e154, 1.8e154, math.inf, -math.inf, math.nan]
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=500)
+@given(st.lists(st.builds(complex, *[st.one_of(st.sampled_from(SPECIAL_PARTS), st.floats())] * 2),
+                min_size=1, max_size=4))
+def test_norm_is_bitwise_the_generator_form(p):
+    want = math.sqrt(_plain_sum(x.real * x.real + x.imag * x.imag for x in p))
+    assert struct.pack("<d", dynamics._norm(p)) == struct.pack("<d", want)
 
 
 def test_1d_negative_start_converges():
@@ -256,16 +278,20 @@ def test_raster_deterministic_across_workers():
     assert np.array_equal(r1.iterations, r2.iterations)
 
 
-def test_sample_slice_starts_at_most_one_worker_per_usable_cpu(monkeypatch):
-    started = []
+@pytest.fixture
+def serial_pool(monkeypatch):
+    """Stands in for ProcessPoolExecutor: starts no process, and records the
+    max_workers of each pool and the row ranges of the bands it receives."""
+    pools = []
 
     class SerialPool:
-        """Stands in for ProcessPoolExecutor: records max_workers, starts no process."""
-
         def __init__(self, max_workers):
-            started.append(max_workers)
+            self.max_workers, self.bands = max_workers, []
+            pools.append(self)
 
         def map(self, fn, items):
+            items = list(items)
+            self.bands = [(lo, hi) for *_, lo, hi in items]
             return map(fn, items)
 
         def shutdown(self):
@@ -273,14 +299,39 @@ def test_sample_slice_starts_at_most_one_worker_per_usable_cpu(monkeypatch):
 
     monkeypatch.setattr(dynamics, "ProcessPoolExecutor", SerialPool)
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    return pools
+
+
+def test_sample_slice_starts_at_most_one_worker_per_usable_cpu(monkeypatch, serial_pool):
     serial, _, _ = quad_raster(width=24, height=24, max_iter=300, workers=1)
     capped, _, _ = quad_raster(width=24, height=24, max_iter=300, workers=64)
     monkeypatch.delattr(os, "sched_getaffinity", raising=False)
     monkeypatch.setattr(os, "cpu_count", lambda: 3)
     quad_raster(width=24, height=24, max_iter=300, workers=64)
-    assert started == [2, 3]
+    assert [pool.max_workers for pool in serial_pool] == [2, 3]
     assert np.array_equal(serial.codes, capped.codes)
     assert np.array_equal(serial.iterations, capped.iterations)
+
+
+def test_bands_are_sized_by_pixel_count(monkeypatch, serial_pool):
+    serial_bands = []
+    classify_band = dynamics._classify_band
+    monkeypatch.setattr(dynamics, "_classify_band",
+                        lambda args: serial_bands.append(args[3:]) or classify_band(args))
+    # 32x32 is verify's determinism raster: two processes must still share
+    # at least two bands; 400x400 is the benchmark's two-worker raster
+    for side, parallel_bands in ((32, 2), (400, 8)):
+        serial_bands.clear()
+        serial, _, _ = quad_raster(width=side, height=side, max_iter=60, workers=1)
+        assert serial_bands == [(0, side)]
+        pooled, _, _ = quad_raster(width=side, height=side, max_iter=60, workers=2)
+        pool = serial_pool[-1]
+        assert pool.max_workers == 2
+        assert len(pool.bands) == parallel_bands
+        assert [lo for lo, _ in pool.bands] == [0] + [hi for _, hi in pool.bands[:-1]]
+        assert pool.bands[-1][1] == side
+        assert np.array_equal(serial.codes, pooled.codes)
+        assert np.array_equal(serial.iterations, pooled.iterations)
 
 
 def test_raster_codes_form_a_trichotomy():

@@ -213,8 +213,11 @@ def test_elementary_map_is_a_one_factor_word():
 
 
 def test_one_exponential_per_bitwise_distinct_weight(monkeypatch):
+    # the scalar step takes cmath.exp when it is compiled, so words built
+    # after the patch count their exponentials through it
     calls = []
-    monkeypatch.setattr(maps, "_cexp", lambda x: calls.append(x) or scalar_exp(x))
+    exp = cmath.exp
+    monkeypatch.setattr(cmath, "exp", lambda x: calls.append(x) or exp(x))
     p = (0.1 + 0.05j, 0.1 - 0.02j, 0.05j)
     for weights, exps in (((1.0, 1.0), 3), ((1.0, 2.0), 5)):
         calls.clear()
@@ -226,12 +229,31 @@ def test_one_exponential_per_bitwise_distinct_weight(monkeypatch):
         word = MapWord((ElementaryMap(K.OVERSHEAR, weights, 1.0),))
         q = (complex(1.0, -0.0), complex(1.0, -0.0), complex(-1.0, 0.0))
         calls.clear()
-        assert bits(word(q)) == bits(scalar_oracle(word, q))
+        got = word(q)
         assert len(calls) == 2
+        assert bits(got) == bits(scalar_oracle(word, q))
         coords = [np.array([x]) for x in q]
         assert [c.tobytes() for c in word.eval_batch(coords)] == [
             c.tobytes() for c in batch_oracle(word, coords)
         ]
+
+
+@SETTINGS
+@given(st.sampled_from([(0.3, 3.0), (300.0, 300.0)]).flatmap(
+    lambda radii: word_and_points(lambda dim: points(dim, *radii))))
+def test_direct_exponential_is_bitwise_the_cexp_step(case):
+    name, (p,) = case
+    word = WORDS[name]
+    assert bits(word(p)) == bits(word._step(p, maps._cexp))
+
+
+def test_step_reruns_with_cexp_only_when_cmath_exp_raises():
+    word = WORDS["F3(1,1,3)"]
+    far, near = (1j, 1j, 300.0 + 0j), (0.1 + 0.05j, 0.1 - 0.02j, 0.05j)
+    with pytest.raises(OverflowError):
+        word._step(far)
+    assert bits(word(far)) == bits(word._step(far, maps._cexp))
+    assert bits(word(near)) == bits(word._step(near)) == bits(word._step(near, maps._cexp))
 
 
 def test_wrong_dimension_raises():

@@ -427,10 +427,13 @@ def _params(word: MapWord) -> Params:
     return Params(*twist.weights, twist.w_coeff)
 
 
+def _names(ns, dim: int) -> tuple[str, ...]:
+    return _VAR_NAMES.get(ns.map) or (*(f"z{i + 1}" for i in range(dim - 1)), "w")
+
+
 def _build_jet(ns, order: int):
     evaluator = _build_evaluator(ns)
-    names = _VAR_NAMES.get(ns.map) or (*(f"z{i + 1}" for i in range(evaluator.dim - 1)), "w")
-    return evaluator.jet(order), names
+    return evaluator.jet(order), _names(ns, evaluator.dim)
 
 
 def _write_json(ns, payload: dict) -> None:
@@ -560,8 +563,13 @@ def cmd_basin(ns) -> int:
         spec = dyn.SliceSpec(base=base, dir1=dir1, dir2=dir2,
                              u_range=(umin, umax), v_range=(vmin, vmax),
                              width=width, height=height)
+        # the map is the identity where one of these coordinates vanishes
+        fixed = range(dim - 1) if isinstance(evaluator, MapWord) else {"G": [0], "PROTO_2D": [0, 1]}.get(ns.map, [])
+        flat = [f"{_names(ns, dim)[i]}=0" for i in fixed if base[i] == dir1[i] == dir2[i] == 0]
+        if flat:
+            raise DomainError(f"the slice lies in {{{' and '.join(flat)}}}, which the map fixes pointwise")
     else:
-        if evaluator.dim not in (2, 3):
+        if not (ns.map == "PROTO_2D" or isinstance(evaluator, MapWord) and evaluator.dim == 3):
             raise DimensionError("lift rendering needs the 2D prototype or the 3D word")
         filler = (0j,) * evaluator.dim
         spec = dyn.SliceSpec(base=filler, dir1=filler, dir2=filler,

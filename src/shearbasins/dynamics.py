@@ -8,6 +8,13 @@ never merged into either decided class.  Orbits that leave
 ``escape_radius`` or hit non-finite arithmetic are ESCAPED.  Exactly
 stationary points are recognized early: they count as converged only when
 already inside the eps ball, otherwise they stay undecided with a note.
+
+That rule is written once, in ``_rule``; the scalar engine ``iterate`` and
+the batch engine ``classify_batch`` both decide every step through it.
+Both start the previous block max at nan, so the first window never
+passes.  ``iterate`` calls the rule only on a step that can meet one of
+its tests: a norm outside [eps, radius] (nan included) or a stationary
+step.
 """
 
 from __future__ import annotations
@@ -33,6 +40,9 @@ UNDECIDED = "undecided"
 CODE_ESCAPED = 0
 CODE_CONVERGED = 1
 CODE_UNDECIDED = 2
+
+# the kind of each code, indexed by code
+_KINDS = (ESCAPED, CONVERGED, UNDECIDED)
 
 _WINDOW = 100
 
@@ -102,8 +112,25 @@ def _finite(p: Sequence[complex]) -> bool:
     return all(math.isfinite(x.real) and math.isfinite(x.imag) for x in p)
 
 
+def _rule(nrm, nonfinite, stationary, window_ok, eps, radius) -> tuple:
+    """The status rule of both orbit engines: the ordered (code, note, hit)
+    tests of one step, of which the first that hits decides the step.
+
+    Only ``<``, ``>`` and ``&`` touch the operands, so they may be Python
+    scalars or numpy arrays.  When no test hits, the orbit goes on.
+    """
+    inside = nrm < eps
+    return (
+        (CODE_ESCAPED, "non-finite arithmetic", nonfinite),
+        (CODE_ESCAPED, "", nrm > radius),
+        (CODE_CONVERGED, "stationary inside the eps ball", stationary & inside),
+        (CODE_UNDECIDED, "stationary orbit (fixed point off the origin)", stationary),
+        (CODE_CONVERGED, "", inside & window_ok),
+    )
+
+
 def iterate(evaluator: Callable, p0: Sequence[complex], cfg: OrbitConfig | None = None) -> Orbit:
-    """Iterate the exact map until a status triggers or max_iter runs out.
+    """Iterate the exact map until ``_rule`` decides a step or max_iter runs out.
 
     Every iterate participates in the status decision; only every
     record_stride-th point (plus the final one) is stored.  For
@@ -124,7 +151,7 @@ def iterate(evaluator: Callable, p0: Sequence[complex], cfg: OrbitConfig | None 
         if track_zeta:
             zeta_trace.append(q[0] * q[1])
 
-    prev_block_max: float | None = None
+    prev_block_max = math.nan
     cur_block_max = _norm(p)
     window_ok = False
     status: Status | None = None
@@ -134,35 +161,21 @@ def iterate(evaluator: Callable, p0: Sequence[complex], cfg: OrbitConfig | None 
     for n in range(1, cfg.max_iter + 1):
         q = evaluator(p)
         nrm = norm(q)
-        # a non-finite coordinate gives a non-finite norm; a norm that
-        # overflows from finite coordinates is a plain escape below
-        if not isfinite(nrm) and not _finite(q):
-            status = Status(ESCAPED, n, "non-finite arithmetic")
-            record(q, n)
-            break
-        if nrm > radius:
-            status = Status(ESCAPED, n)
-            record(q, n)
-            break
-        if q == p:
-            if nrm < eps:
-                status = Status(CONVERGED, n, "stationary inside the eps ball")
-            else:
-                status = Status(UNDECIDED, n, "stationary orbit (fixed point off the origin)")
-            record(q, n)
-            break
-
         if nrm > cur_block_max:
             cur_block_max = nrm
         if n % _WINDOW == 0:
-            window_ok = prev_block_max is not None and cur_block_max <= prev_block_max
+            window_ok = cur_block_max <= prev_block_max
             prev_block_max = cur_block_max
             cur_block_max = 0.0
-
-        if nrm < eps and window_ok:
-            status = Status(CONVERGED, n)
-            record(q, n)
-            break
+        if not eps <= nrm <= radius or q == p:
+            # a non-finite coordinate gives a non-finite norm; a norm that
+            # overflows from finite coordinates is a plain escape
+            nonfinite = not isfinite(nrm) and not _finite(q)
+            hit = next((t for t in _rule(nrm, nonfinite, q == p, window_ok, eps, radius) if t[2]), None)
+            if hit:
+                status = Status(_KINDS[hit[0]], n, hit[1])
+                record(q, n)
+                break
 
         if n % stride == 0:
             record(q, n)
@@ -644,11 +657,7 @@ class BasinRaster:
     iterations: np.ndarray  # int32, decision index (max_iter when undecided)
 
     def counts(self) -> dict:
-        return {
-            "escaped": int(np.count_nonzero(self.codes == CODE_ESCAPED)),
-            "converged": int(np.count_nonzero(self.codes == CODE_CONVERGED)),
-            "undecided": int(np.count_nonzero(self.codes == CODE_UNDECIDED)),
-        }
+        return {kind: int(np.count_nonzero(self.codes == code)) for code, kind in enumerate(_KINDS)}
 
 
 class BatchMap(Protocol):
@@ -658,10 +667,11 @@ class BatchMap(Protocol):
 def classify_batch(
     map_obj: BatchMap, coords: list[np.ndarray], cfg: OrbitConfig
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Vectorized orbit classification, same decision sequence as iterate().
+    """Vectorized orbit classification through ``_rule``, like iterate().
 
     ``coords`` holds one complex array per coordinate; results are per
-    element.  Decided elements are frozen (their state zeroed) so later
+    element.  The rule's tests are applied in order to the still-active
+    elements.  Decided elements are frozen (their state zeroed) so later
     steps cannot disturb them, which keeps the outcome independent of how
     elements are grouped into batches.
     """
@@ -674,20 +684,8 @@ def classify_batch(
     active = np.ones(total, dtype=bool)
     with np.errstate(over="ignore", invalid="ignore", under="ignore"):
         cur_block = np.sqrt(sum(np.abs(c) ** 2 for c in p))
-    prev_block = np.full(total, np.inf)
-    have_prev = False
-    window_ok = np.zeros(total, dtype=bool)
-    q = p
-
-    def decide(mask: np.ndarray, code: int, n: int) -> None:
-        hit = active & mask
-        if not hit.any():
-            return
-        codes[orig_idx[hit]] = code
-        iters[orig_idx[hit]] = n
-        active[hit] = False
-        for c in q:
-            c[hit] = 0.0
+    prev_block = math.nan
+    window_ok = False
 
     for n in range(1, cfg.max_iter + 1):
         if not active.any():
@@ -697,30 +695,30 @@ def classify_batch(
         finite = np.isfinite(q[0])
         for c in q[1:]:
             finite &= np.isfinite(c)
-        # decided elements are zeroed, so the norm sees only finite values
-        decide(~finite, CODE_ESCAPED, n)
         with np.errstate(over="ignore", invalid="ignore", under="ignore"):
             nrm = np.sqrt(sum(np.abs(c) ** 2 for c in q))
-        decide(nrm > cfg.escape_radius, CODE_ESCAPED, n)
         stationary = p[0] == q[0]
         for a, b in zip(p[1:], q[1:]):
             stationary &= a == b
-        decide(stationary & (nrm < cfg.eps_converged), CODE_CONVERGED, n)
-        decide(stationary, CODE_UNDECIDED, n)
-        np.maximum(cur_block, np.where(active, nrm, 0.0), out=cur_block)
+        # the block max of an element decided at this step is never read
+        np.maximum(cur_block, nrm, out=cur_block)
         if n % _WINDOW == 0:
-            if have_prev:
-                window_ok = cur_block <= prev_block
+            window_ok = cur_block <= prev_block
             prev_block, cur_block = cur_block, np.zeros(active.shape)
-            have_prev = True
-        decide((nrm < cfg.eps_converged) & window_ok, CODE_CONVERGED, n)
+        for code, _, mask in _rule(nrm, ~finite, stationary, window_ok, cfg.eps_converged, cfg.escape_radius):
+            hit = active & mask
+            if hit.any():
+                codes[orig_idx[hit]] = code
+                iters[orig_idx[hit]] = n
+                active[hit] = False
+                for c in q:
+                    c[hit] = 0.0
         p = q
         # elementwise arithmetic does not depend on array packing, so the
         # still-active elements can be gathered without changing results
         if n % _WINDOW == 0 and 0 < active.sum() < active.size:
             keep = np.nonzero(active)[0]
-            p = [c[keep] for c in p]
-            q = p
+            p = q = [c[keep] for c in p]
             orig_idx = orig_idx[keep]
             cur_block = cur_block[keep]
             prev_block = prev_block[keep]

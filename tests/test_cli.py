@@ -258,6 +258,41 @@ def test_basin_non_finite_slice_is_exit_two(tmp_path, capsys, argv):
     assert "must be finite" in err
 
 
+@pytest.mark.parametrize("argv", [("--map", "G"), ("--map", "PROTO_1D"), ("--map", "FAMILY_K")])
+def test_basin_lift_of_other_maps_is_exit_two(tmp_path, capsys, argv):
+    """Only PROTO_2D and words in C^3 have starts (s, s[, w]) to lift to."""
+    out_path = tmp_path / "basin.pgm"
+    code, out, err = run(capsys, "basin", "--lift", "pos", "--res", "4", "4", "--out", str(out_path), *argv)
+    assert code == 2
+    assert out == "" and not out_path.exists()
+    assert "lift rendering needs" in err
+
+
+@pytest.mark.parametrize("argv, plane", [
+    ((), "{t=0}"),
+    (("--map", "FAMILY_K"), "{z2=0 and z3=0}"),
+    (("--map", "PROTO_2D"), "{w=0}"),
+    (("--map", "G", "--base", "0,0.1", "--dir1", "0,1", "--dir2", "0,1j"), "{zeta=0}"),
+])
+def test_basin_slice_in_a_fixed_hyperplane_is_exit_two(tmp_path, capsys, argv, plane):
+    out_path = tmp_path / "basin.pgm"
+    code, out, err = run(capsys, "basin", "--res", "4", "4", "--out", str(out_path), *argv)
+    assert code == 2
+    assert out == "" and not out_path.exists()
+    assert f"the slice lies in {plane}, which the map fixes pointwise" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ("--dir2", "0,1j,0"),
+    ("--map", "FAMILY_K", "--k", "2", "--lift", "pos"),
+    ("--map", "PROTO_2D", "--lift", "pos"),
+])
+def test_basin_slices_off_the_fixed_hyperplanes_run(tmp_path, capsys, argv):
+    out_path = tmp_path / "basin.pgm"
+    code, _, _ = run(capsys, "basin", "--res", "4", "4", "--max-iter", "50", "--out", str(out_path), *argv)
+    assert code == 0 and out_path.exists()
+
+
 def test_basin_bad_map_is_exit_two(capsys):
     code, _, _ = run(capsys, "basin", "--map", "NOPE")
     assert code == 2

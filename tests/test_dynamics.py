@@ -435,6 +435,25 @@ def test_classify_batch_of_a_word_that_returns_its_inputs():
     assert [s.kind for s in statuses] == [ESCAPED, UNDECIDED, CONVERGED, ESCAPED]
 
 
+def test_start_inside_the_eps_ball_decides_at_the_second_window():
+    """The first window never passes, so a moving orbit that starts inside
+    the eps ball is decided when the second window closes."""
+    cfg = OrbitConfig(max_iter=1000, record_stride=1000)
+    statuses = _agree_with_iterate(QUAD, [(-1e-4 + 0j,), (-5e-4 + 1e-4j,)], cfg)
+    assert [(s.kind, s.index) for s in statuses] == [(CONVERGED, 200)] * 2
+
+
+def test_classify_batch_matches_iterate_on_the_benchmark_slice():
+    """Every pixel of a 24x24 grid of the benchmark's lifted F3 slice gets the
+    same code and decision index in both engines."""
+    spec = SliceSpec(base=(0j,) * 3, dir1=(0j,) * 3, dir2=(0j,) * 3, u_range=(-1.5, 0.5),
+                     v_range=(-1.0, 1.0), width=24, height=24, lift="pos")
+    cfg = OrbitConfig(max_iter=1000, eps_converged=0.02, record_stride=1000)
+    starts = [spec.start_point(u, v) for v in spec.axis_v() for u in spec.axis_u()]
+    statuses = _agree_with_iterate(build_F(P113), starts, cfg)
+    assert {s.kind for s in statuses} == {ESCAPED, UNDECIDED}
+
+
 def test_rasters_of_the_word_raise_no_runtime_warnings():
     """Overflow in the batch steps is counted as escape, not leaked as warnings."""
     word = build_F(P113)

@@ -189,7 +189,7 @@ def _check_maps(report: Report, params: Params, word: MapWord, rng: random.Rando
     pw = semi["pointwise"]
     report.add("maps.semiconjugacy_pointwise", pw.ok, defect=pw.defect, tolerance=pw.tolerance)
 
-    equi = dyn.check_equivariance(word, samples=50, rng=rng, status_samples=0)
+    equi = dyn.check_equivariance(word, samples=50, rng=rng)
     alg = equi["algebraic"]
     report.add("maps.equivariance", alg.ok, defect=alg.defect, tolerance=alg.tolerance)
 
@@ -417,7 +417,7 @@ def _apply_config_file(ns: argparse.Namespace, parser: argparse.ArgumentParser) 
 def _build_evaluator(ns, family: str | None = None):
     """The map of the flags (of ``family`` if given); unset flags take the
     defaults of ``map_from_spec``."""
-    spec = {key: getattr(ns, key) for key in ("a", "b", "c", "k") if getattr(ns, key) is not None}
+    spec = {key: getattr(ns, key) for key in ("a", "b", "c", "k") if getattr(ns, key, None) is not None}
     return map_from_spec({"family": family or ns.map, **spec})
 
 
@@ -552,6 +552,9 @@ def cmd_orbit(ns) -> int:
 
 
 def cmd_basin(ns) -> int:
+    unused = [f for f in (("w_fix",) if ns.lift == "none" else ("base", "dir1", "dir2")) if getattr(ns, f) is not None]
+    if unused:
+        raise ValueError(f"--{unused[0].replace('_', '-')} is not used with --lift {ns.lift}")
     evaluator = _build_evaluator(ns)
     umin, umax, vmin, vmax = ns.slice
     width, height = ns.res
@@ -617,17 +620,21 @@ def cmd_family(ns) -> int:
 # argument parsing
 
 
-def _add_common(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--config", help="JSON file overriding the flags")
-    parser.add_argument("--map", choices=MAP_CHOICES, default="F3")
-    parser.add_argument("--a", type=float, nargs="+", default=None,
-                        help="shear weight(s); repeat for the family")
-    parser.add_argument("--b", type=float, default=None)
-    parser.add_argument("--c", type=float, default=None)
-    parser.add_argument("--k", type=int, default=None)
-    parser.add_argument("--order", type=int, default=None)
-    parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--json-out", default=None)
+# the options a command may take besides --config and its own
+_COMMON = {"map": {"choices": MAP_CHOICES, "default": "F3"},
+           "a": {"type": float, "nargs": "+", "help": "shear weight(s); repeat for the family"},
+           "b": {"type": float}, "c": {"type": float}, "k": {"type": int}, "order": {"type": int},
+           "seed": {"type": int, "default": 0}, "json-out": {}}
+
+
+def _command(sub, name: str, func, common: str, summary: str) -> argparse.ArgumentParser:
+    """A subcommand with --config and the ``common`` options of ``_COMMON``."""
+    p = sub.add_parser(name, help=summary, allow_abbrev=False)
+    p.set_defaults(func=func)
+    p.add_argument("--config", help="JSON file overriding the flags")
+    for option in common.split():
+        p.add_argument(f"--{option}", **_COMMON[option])
+    return p
 
 
 def _add_orbit_options(parser: argparse.ArgumentParser) -> None:
@@ -640,46 +647,31 @@ def _add_orbit_options(parser: argparse.ArgumentParser) -> None:
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="shearbasins", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
+    jet_options = "map a b c k order json-out"
+    _command(sub, "expand", cmd_expand, jet_options, "print a truncated expansion")
+    _command(sub, "verify", cmd_verify, "a b c seed json-out", "run the full verification suite")
+    _command(sub, "directions", cmd_directions, jet_options, "characteristic directions and directors")
 
-    p = sub.add_parser("expand", help="print a truncated expansion")
-    _add_common(p)
-    p.set_defaults(func=cmd_expand)
-
-    p = sub.add_parser("verify", help="run the full verification suite")
-    _add_common(p)
-    p.set_defaults(func=cmd_verify)
-
-    p = sub.add_parser("directions", help="characteristic directions and directors")
-    _add_common(p)
-    p.set_defaults(func=cmd_directions)
-
-    p = sub.add_parser("orbit", help="iterate one orbit and dump it as CSV")
-    _add_common(p)
+    p = _command(sub, "orbit", cmd_orbit, "map a b c k", "iterate one orbit and dump it as CSV")
     p.add_argument("--start", default="0.1,0.1,0.05", help="comma-separated complex coordinates")
     _add_orbit_options(p)
-    p.add_argument("--out", default=None)
-    p.set_defaults(func=cmd_orbit)
+    p.add_argument("--out")
 
-    p = sub.add_parser("basin", help="rasterize a basin slice to PGM")
-    _add_common(p)
+    p = _command(sub, "basin", cmd_basin, "map a b c k", "rasterize a basin slice to PGM")
     p.add_argument("--slice", type=float, nargs=4, default=(-1.5, 0.5, -1.0, 1.0),
                    metavar=("UMIN", "UMAX", "VMIN", "VMAX"))
     p.add_argument("--res", type=int, nargs=2, default=(200, 200), metavar=("W", "H"))
-    p.add_argument("--base", default=None)
-    p.add_argument("--dir1", default=None)
-    p.add_argument("--dir2", default=None)
+    p.add_argument("--base")
+    p.add_argument("--dir1")
+    p.add_argument("--dir2")
     p.add_argument("--lift", choices=("none", "pos", "neg"), default="none",
                    help="render through the square-root lift of the pixel value")
-    p.add_argument("--w-fix", type=float, default=None)
+    p.add_argument("--w-fix", type=float)
     _add_orbit_options(p)
     p.add_argument("--workers", type=int, default=1)
     p.add_argument("--out", default="basin.pgm")
-    p.set_defaults(func=cmd_basin)
 
-    p = sub.add_parser("family", help="build and verify the C^{k+1} family word")
-    _add_common(p)
-    p.set_defaults(func=cmd_family)
-
+    _command(sub, "family", cmd_family, "a b k order seed json-out", "build and verify the C^{k+1} family word")
     return parser
 
 

@@ -14,7 +14,9 @@ the batch engine ``classify_batch`` both decide every step through it.
 Both start the previous block max at nan, so the first window never
 passes.  ``iterate`` calls the rule only on a step that can meet one of
 its tests: a norm outside [eps, radius] (nan included) or a stationary
-step.
+step.  The arrays of ``classify_batch`` hold exactly the undecided
+elements: an element leaves them at the step that decides it, so the map
+evaluates one element per pixel-iteration.
 """
 
 from __future__ import annotations
@@ -248,8 +250,6 @@ def check_semiconjugacy(
     samples: int = 100,
     radius: float = 0.5,
     rng=None,
-    orbit_start: tuple = (0.1, 0.1, 0.05),
-    orbit_steps: int = 1000,
 ) -> Report:
     """Pointwise and orbit-level commutation of projection and dynamics."""
     rng = rng or random.Random(0)
@@ -263,23 +263,15 @@ def check_semiconjugacy(
         worst = max(worst, max(abs(a - b) for a, b in zip(lhs, rhs)))
     report.add("pointwise", worst <= 1e-12, defect=worst, tolerance=1e-12)
 
-    p = tuple(complex(x) for x in orbit_start)
+    p = (0.1 + 0j, 0.1 + 0j, 0.05 + 0j)
     q = project_pi(p)
     worst_orbit = 0.0
-    for _ in range(orbit_steps):
+    for _ in range(1000):
         p = word(p)
         q = eval_pushforward(word, q)
         worst_orbit = max(worst_orbit, max(abs(a - b) for a, b in zip(project_pi(p), q)))
     report.add("orbit_level", worst_orbit <= 1e-9, defect=worst_orbit, tolerance=1e-9,
-               note=f"{orbit_steps} steps from {orbit_start}")
-
-    p0 = (0.25 + 0j, 0j, 0.1 + 0.05j)
-    moved = max(abs(a - b) for a, b in zip(word(p0), p0))
-    proj_fixed = max(abs(a - b) for a, b in zip(project_pi(p0), eval_pushforward(word, project_pi(p0))))
-    fixed_defect = max(moved, proj_fixed)
-    # identity up to one exponential round trip in floating point
-    report.add("fixed_plane_projection", fixed_defect <= 1e-15, defect=fixed_defect, tolerance=1e-15,
-               note="points with t=0 are fixed and project to fixed (0, w)")
+               note="1000 steps from (0.1, 0.1, 0.05)")
     return report
 
 
@@ -287,10 +279,8 @@ def check_equivariance(
     word: MapWord,
     samples: int = 50,
     rng=None,
-    status_samples: int = 20,
-    status_cfg: OrbitConfig | None = None,
 ) -> Report:
-    """Commutation with (z, t) -> (lambda z, t/lambda) plus the status corollary."""
+    """Commutation with (z, t) -> (lambda z, t/lambda)."""
     rng = rng or random.Random(0)
     report = Report(title="equivariance")
 
@@ -308,28 +298,6 @@ def check_equivariance(
             abs(q_g[2] - q[2]),
         )
     report.add("algebraic", worst <= 1e-12, defect=worst, tolerance=1e-12)
-
-    cfg = status_cfg or OrbitConfig(max_iter=20_000, eps_converged=0.02, record_stride=10_000)
-    agree = 0
-    borderline = 0
-    for _ in range(status_samples):
-        p = sample_ball_point(rng, 3, 0.3)
-        gauged = (2 * p[0], p[1] / 2, p[2])
-        k1 = iterate(word, p, cfg).status.kind
-        k2 = iterate(word, gauged, cfg).status.kind
-        if k1 == k2:
-            agree += 1
-        elif UNDECIDED in (k1, k2):
-            # the gauge rescales the norm, so one side may sit just short
-            # of the eps threshold at the iteration budget
-            borderline += 1
-    report.add(
-        "status_invariance",
-        agree + borderline == status_samples,
-        defect=float(status_samples - agree - borderline),
-        note=f"{agree}/{status_samples} agree under lambda=2"
-        + (f", {borderline} undecided-borderline excluded" if borderline else ""),
-    )
     return report
 
 
@@ -670,10 +638,11 @@ def classify_batch(
     """Vectorized orbit classification through ``_rule``, like iterate().
 
     ``coords`` holds one complex array per coordinate; results are per
-    element.  The rule's tests are applied in order to the still-active
-    elements.  Decided elements are frozen (their state zeroed) so later
-    steps cannot disturb them, which keeps the outcome independent of how
-    elements are grouped into batches.
+    element.  The arrays hold exactly the undecided elements: at each step
+    every element gets the code of the first of the rule's tests that hits
+    it (255 when none does), and the decided ones leave the arrays at once.
+    Elementwise arithmetic does not depend on array packing, so the outcome
+    is independent of how elements are grouped into batches.
     """
     total = coords[0].size
     shape = coords[0].shape
@@ -681,14 +650,13 @@ def classify_batch(
     codes = np.full(total, CODE_UNDECIDED, dtype=np.uint8)
     iters = np.full(total, cfg.max_iter, dtype=np.int32)
     orig_idx = np.arange(total)
-    active = np.ones(total, dtype=bool)
     with np.errstate(over="ignore", invalid="ignore", under="ignore"):
         cur_block = np.sqrt(sum(np.abs(c) ** 2 for c in p))
-    prev_block = math.nan
-    window_ok = False
+    prev_block = np.full(total, math.nan)
+    window_ok = np.zeros(total, dtype=bool)
 
     for n in range(1, cfg.max_iter + 1):
-        if not active.any():
+        if not orig_idx.size:
             break
         q = map_obj.eval_batch(p)
         q = [np.asarray(c, dtype=complex) for c in q]
@@ -704,26 +672,21 @@ def classify_batch(
         np.maximum(cur_block, nrm, out=cur_block)
         if n % _WINDOW == 0:
             window_ok = cur_block <= prev_block
-            prev_block, cur_block = cur_block, np.zeros(active.shape)
-        for code, _, mask in _rule(nrm, ~finite, stationary, window_ok, cfg.eps_converged, cfg.escape_radius):
-            hit = active & mask
-            if hit.any():
-                codes[orig_idx[hit]] = code
-                iters[orig_idx[hit]] = n
-                active[hit] = False
-                for c in q:
-                    c[hit] = 0.0
+            prev_block, cur_block = cur_block, np.zeros(cur_block.shape)
+        # written last to first, so the first test that hits wins
+        step = np.full(orig_idx.size, 255, dtype=np.uint8)
+        for code, _, mask in reversed(_rule(nrm, ~finite, stationary, window_ok,
+                                            cfg.eps_converged, cfg.escape_radius)):
+            step[mask] = code
+        hit = step != 255
+        if hit.any():
+            codes[orig_idx[hit]] = step[hit]
+            iters[orig_idx[hit]] = n
+            keep = ~hit
+            q = [c[keep] for c in q]
+            orig_idx, cur_block, prev_block, window_ok = (
+                orig_idx[keep], cur_block[keep], prev_block[keep], window_ok[keep])
         p = q
-        # elementwise arithmetic does not depend on array packing, so the
-        # still-active elements can be gathered without changing results
-        if n % _WINDOW == 0 and 0 < active.sum() < active.size:
-            keep = np.nonzero(active)[0]
-            p = q = [c[keep] for c in p]
-            orig_idx = orig_idx[keep]
-            cur_block = cur_block[keep]
-            prev_block = prev_block[keep]
-            window_ok = window_ok[keep]
-            active = np.ones(keep.size, dtype=bool)
     return codes.reshape(shape), iters.reshape(shape)
 
 

@@ -552,6 +552,11 @@ def verify_form_eq1(jet_map: JetMap, params: Params) -> Report:
 # map specification (JSON external interface)
 
 
+# the parameters each map family takes
+_PARAMETERS = {"F3": ("a", "b", "c"), "G": ("a", "b", "c"), "PROTO_1D": ("a",), "PROTO_2D": (),
+               "FAMILY_K": ("a", "b", "k")}
+
+
 def map_from_spec(spec: dict):
     """Build a map from {"family": ..., "a": ..., "b": ..., "c": ..., "k": ...}.
 
@@ -559,9 +564,15 @@ def map_from_spec(spec: dict):
     such a spec.  Missing entries take the defaults a = 1, c = 3, k = 3, and
     b = a for F3 and G or b = 4 for FAMILY_K.  ``a`` is a number or a list:
     FAMILY_K repeats a single weight k times, F3, G and PROTO_1D take
-    exactly one, and PROTO_2D has no parameters.
+    exactly one, and PROTO_2D has no parameters.  A key the map does not
+    take (``k`` for F3, ``c`` for FAMILY_K, ...) is an error.
     """
     family = spec.get("family")
+    if family not in _PARAMETERS:
+        raise ValueError(f"unknown map {family!r}")
+    extra = [key for key in spec if key != "family" and key not in _PARAMETERS[family]]
+    if extra:
+        raise ValueError(f"map {family} takes no parameter {extra[0]!r}")
     a = spec.get("a", 1.0)
     weights = [float(x) for x in a] if isinstance(a, (list, tuple)) else [float(a)]
     if family == "FAMILY_K":
@@ -573,8 +584,6 @@ def map_from_spec(spec: dict):
         return build_family(k, weights, float(spec.get("b", 4.0)))
     if family == "PROTO_2D":
         return Prototype("product_2d")
-    if family not in ("F3", "G", "PROTO_1D"):
-        raise ValueError(f"unknown map {family!r}")
     if len(weights) != 1:
         raise DimensionError(f"map {family} takes one weight a, got {len(weights)}")
     if family == "PROTO_1D":

@@ -293,6 +293,21 @@ def test_basin_slices_off_the_fixed_hyperplanes_run(tmp_path, capsys, argv):
     assert code == 0 and out_path.exists()
 
 
+@pytest.mark.parametrize("argv, flag", [
+    (("--lift", "pos", "--base", "5,5,5"), "--base"),
+    (("--lift", "neg", "--dir1", "1,0,0"), "--dir1"),
+    (("--lift", "pos", "--dir2", "0,1j,0"), "--dir2"),
+    (("--w-fix", "0.3", "--dir2", "0,1j,0"), "--w-fix"),
+])
+def test_basin_flags_its_lift_does_not_use_are_exit_two(tmp_path, capsys, argv, flag):
+    out_path = tmp_path / "basin.pgm"
+    code, out, err = run(capsys, "basin", "--res", "4", "4", "--out", str(out_path), *argv)
+    assert code == 2
+    assert out == "" and not out_path.exists()
+    lift = argv[1] if argv[0] == "--lift" else "none"
+    assert f"{flag} is not used with --lift {lift}" in err
+
+
 def test_basin_bad_map_is_exit_two(capsys):
     code, _, _ = run(capsys, "basin", "--map", "NOPE")
     assert code == 2
@@ -387,6 +402,40 @@ def test_extra_weights_are_exit_two(capsys, family):
     assert f"map {family} takes one weight a, got 2" in err
 
 
+@pytest.mark.parametrize("command, flag", [
+    ("expand", "seed"), ("directions", "seed"),
+    ("verify", "map"), ("verify", "k"), ("verify", "order"),
+    ("family", "map"), ("family", "c"),
+    ("orbit", "order"), ("orbit", "seed"), ("orbit", "json-out"),
+    ("basin", "order"), ("basin", "seed"), ("basin", "json-out"),
+])
+def test_options_a_command_does_not_use_are_exit_two(tmp_path, capsys, command, flag):
+    """Neither as a flag nor as a config key."""
+    code, out, err = run(capsys, command, f"--{flag}", "G" if flag == "map" else "1")
+    assert (code, out) == (2, "")
+    assert f"unrecognized arguments: --{flag}" in err
+    config = tmp_path / "run.json"
+    config.write_text(json.dumps({flag: "1"}))
+    code, out, err = run(capsys, command, "--config", str(config))
+    assert (code, out) == (2, "")
+    assert f"{flag!r} is not an option of {command}" in err
+
+
+@pytest.mark.parametrize("argv, key", [
+    (("expand", "--map", "PROTO_2D", "--a", "5", "--b", "7", "--c", "9", "--k", "4"), "a"),
+    (("expand", "--map", "F3", "--k", "5"), "k"),
+    (("expand", "--map", "G", "--k", "2"), "k"),
+    (("expand", "--map", "PROTO_1D", "--b", "2"), "b"),
+    (("directions", "--map", "FAMILY_K", "--c", "9"), "c"),
+    (("orbit", "--map", "PROTO_1D", "--start", "0.1", "--c", "2"), "c"),
+    (("basin", "--map", "PROTO_2D", "--lift", "pos", "--a", "2", "--res", "4", "4"), "a"),
+])
+def test_parameters_the_map_does_not_take_are_exit_two(capsys, argv, key):
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert f"map {argv[argv.index('--map') + 1]} takes no parameter {key!r}" in err
+
+
 @pytest.mark.parametrize("argv", [
     ("expand", "--a", "nan"),
     ("expand", "--c", "nan"),
@@ -425,7 +474,7 @@ def test_config_file_with_other_keys_is_exit_two(tmp_path, capsys, data, message
 @pytest.mark.parametrize("command, data, message", [
     ("expand", {"order": [1]}, "[1] is not a valid value of 'order'"),
     ("orbit", {"max-iter": [5]}, "[5] is not a valid value of 'max-iter'"),
-    ("expand", {"seed": "x"}, "'x' is not a valid value of 'seed'"),
+    ("verify", {"seed": "x"}, "'x' is not a valid value of 'seed'"),
     ("expand", {"a": [[1]]}, "[[1]] is not a valid value of 'a'"),
     ("orbit", {"start": {"z": 1}}, "{'z': 1} is not a valid value of 'start'"),
     ("basin", {"slice": 1}, "1 is not a valid value of 'slice'"),

@@ -532,6 +532,19 @@ def test_map_from_spec_variants():
             map_from_spec({"family": family, "a": [1, 2]})
 
 
+@pytest.mark.parametrize("family, takes", [
+    ("F3", "abc"), ("G", "abc"), ("PROTO_1D", "a"), ("PROTO_2D", ""), ("FAMILY_K", "abk"),
+])
+def test_map_from_spec_rejects_parameters_the_map_does_not_take(family, takes):
+    for key in ("a", "b", "c", "k", "order", "seed"):
+        spec = {"family": family, key: 2}
+        if key in takes:
+            map_from_spec(spec)
+        else:
+            with pytest.raises(ValueError, match=f"map {family} takes no parameter '{key}'"):
+                map_from_spec(spec)
+
+
 def test_non_finite_parameters_are_rejected():
     for bad in (math.nan, math.inf, -math.inf):
         for abc in ((bad, 1.0, 3.0), (1.0, bad, 3.0), (1.0, 1.0, bad)):

@@ -14,13 +14,13 @@ from .maps import (
     MapWord,
     Params,
     Prototype,
-    PushforwardMap,
     SemiConjugacyError,
     build_F,
     build_family,
     eval_pushforward,
     family_in_regime,
     map_from_spec,
+    planar_word,
     project_pi,
     push_forward,
     verify_form_eq1,

@@ -28,7 +28,7 @@ from .maps import (
     build_F,
     family_in_regime,
     map_from_spec,
-    push_forward,
+    planar_word,
     verify_form_eq1,
     verify_normal_form,
 )
@@ -44,6 +44,7 @@ VERIFY_CHECK_NAMES = (
     "maps.normal_form",
     "maps.automorphism_inverse",
     "maps.semiconjugacy_pointwise",
+    "maps.semiconjugacy_jet",
     "maps.equivariance",
     "maps.fixed_planes",
     "maps.symmetry_tF1_zF2",
@@ -186,8 +187,9 @@ def _check_maps(report: Report, params: Params, word: MapWord, rng: random.Rando
                note="jet at order 6 and 100 sampled points")
 
     semi = dyn.check_semiconjugacy(word, samples=100, radius=0.5, rng=rng)
-    pw = semi["pointwise"]
-    report.add("maps.semiconjugacy_pointwise", pw.ok, defect=pw.defect, tolerance=pw.tolerance)
+    for name in ("pointwise", "jet"):
+        c = semi[name]
+        report.add(f"maps.semiconjugacy_{name}", c.ok, defect=c.defect, tolerance=c.tolerance, note=c.note)
 
     equi = dyn.check_equivariance(word, samples=50, rng=rng)
     alg = equi["algebraic"]
@@ -222,8 +224,8 @@ def _check_maps(report: Report, params: Params, word: MapWord, rng: random.Rando
 def _check_directions(report: Report, params: Params, word: MapWord, rng: random.Random) -> None:
     lt_f = dirs_mod.leading_term(word.jet(6))
     found_f = dirs_mod.characteristic_directions(lt_f, names=("z", "t", "w"))
-    g_jet = push_forward(word.jet(8))
-    lt_g = dirs_mod.leading_term(g_jet)
+    planar = planar_word(word)
+    lt_g = dirs_mod.leading_term(planar.jet(4))
     found_g = dirs_mod.characteristic_directions(lt_g, names=("zeta", "w"))
 
     worst = max(d.residual for d in found_f + found_g)
@@ -272,15 +274,14 @@ def _check_directions(report: Report, params: Params, word: MapWord, rng: random
     report.add("directions.chart_independence", worst <= 1e-8, defect=worst, tolerance=1e-8,
                note=f"{checked} direction(s) compared in two charts")
 
-    director_value = (params.c - 2 * params.a) / (2 * params.a)
+    value = _planar_director(planar)
+    director = f"{'(c-2a)/(2a)' if params.a == params.b else '(c-a-b)/(a+b)'} = {value:g}"
     if params.in_chosen_regime:
-        report.add("directions.regime_advisory", True,
-                   note=f"chosen regime holds; planar director (c-2a)/(2a) = {director_value:g} > 0")
+        report.add("directions.regime_advisory", True, note=f"chosen regime holds; planar director {director} > 0")
     else:
         report.add("directions.regime_advisory", True, status=WARN,
-                   note=f"outside chosen regime (need a=b>0, c>2a); director (c-2a)/(2a) = {director_value:g} "
-                        "is not strictly positive" if director_value <= 0 else
-                        f"outside chosen regime (need a=b>0, c>2a); director (c-2a)/(2a) = {director_value:g}")
+                   note=f"outside chosen regime (need a=b>0, c>2a); director {director}"
+                        + (" is not strictly positive" if value <= 0 else ""))
 
     extras = [d for d in found_f if not d.degenerate]
     if extras:
@@ -421,19 +422,14 @@ def _build_evaluator(ns, family: str | None = None):
     return map_from_spec({"family": family or ns.map, **spec})
 
 
-def _params(word: MapWord) -> Params:
-    """(a, b, c) of a three-dimensional word, read off its twist factor."""
-    twist = word.factors[0]
-    return Params(*twist.weights, twist.w_coeff)
+def _planar_director(planar: MapWord) -> float:
+    """(c - a - b)/(a + b), the director of G at [1:0], read off the twist of the zeta-word."""
+    twist = planar.factors[0]
+    return (twist.w_coeff - twist.weights[0]) / twist.weights[0]
 
 
 def _names(ns, dim: int) -> tuple[str, ...]:
     return _VAR_NAMES.get(ns.map) or (*(f"z{i + 1}" for i in range(dim - 1)), "w")
-
-
-def _build_jet(ns, order: int):
-    evaluator = _build_evaluator(ns)
-    return evaluator.jet(order), _names(ns, evaluator.dim)
 
 
 def _write_json(ns, payload: dict) -> None:
@@ -449,7 +445,8 @@ def _write_json(ns, payload: dict) -> None:
 
 def cmd_expand(ns) -> int:
     order = ns.order if ns.order is not None else 3
-    jet_map, names = _build_jet(ns, order)
+    evaluator = _build_evaluator(ns)
+    jet_map, names = evaluator.jet(order), _names(ns, evaluator.dim)
     print(f"map {ns.map}, truncation order {order}")
     for i, comp in enumerate(jet_map.components):
         label = f"F{i + 1}({', '.join(names)})"
@@ -459,7 +456,8 @@ def cmd_expand(ns) -> int:
 
 
 def cmd_verify(ns) -> int:
-    report = run_verify_suite(_params(_build_evaluator(ns, "F3")), seed=ns.seed)
+    twist = _build_evaluator(ns, "F3").factors[0]
+    report = run_verify_suite(Params(*twist.weights, twist.w_coeff), seed=ns.seed)
     print(report.to_text())
     _write_json(ns, report.to_dict())
     return 0 if report.passed else 1
@@ -467,7 +465,8 @@ def cmd_verify(ns) -> int:
 
 def cmd_directions(ns) -> int:
     order = ns.order if ns.order is not None else DEFAULT_ORDER
-    jet_map, names = _build_jet(ns, order)
+    evaluator = _build_evaluator(ns)
+    jet_map, names = evaluator.jet(order), _names(ns, evaluator.dim)
     lt = dirs_mod.leading_term(jet_map)
     found = dirs_mod.characteristic_directions(lt, names=names)
     print(f"map {ns.map}: leading degree r = {lt.degree}")
@@ -496,8 +495,7 @@ def cmd_directions(ns) -> int:
                 + ", ".join(sorted({d.family_tag or "isolated" for d in extras}))
             )
     elif ns.map == "G":
-        params = _params(_build_evaluator(ns, "F3"))
-        expected_dir = (params.c - 2 * params.a) / (2 * params.a)
+        expected_dir = _planar_director(evaluator)
         isolated = [d for d in found if not d.degenerate and d.family_dim == 0]
         hit = [
             d for d in isolated
@@ -567,7 +565,7 @@ def cmd_basin(ns) -> int:
                              u_range=(umin, umax), v_range=(vmin, vmax),
                              width=width, height=height)
         # the map is the identity where one of these coordinates vanishes
-        fixed = range(dim - 1) if isinstance(evaluator, MapWord) else {"G": [0], "PROTO_2D": [0, 1]}.get(ns.map, [])
+        fixed = range(dim - 1) if isinstance(evaluator, MapWord) else [0, 1] if ns.map == "PROTO_2D" else []
         flat = [f"{_names(ns, dim)[i]}=0" for i in fixed if base[i] == dir1[i] == dir2[i] == 0]
         if flat:
             raise DomainError(f"the slice lies in {{{' and '.join(flat)}}}, which the map fixes pointwise")

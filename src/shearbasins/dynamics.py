@@ -32,7 +32,7 @@ from typing import Callable, Protocol, Sequence
 import numpy as np
 
 from .jets import DimensionError, DomainError
-from .maps import MapWord, Prototype, PushforwardMap, eval_pushforward, project_pi
+from .maps import MapWord, Prototype, planar_word, project_pi, push_forward
 from .report import Report, WARN
 
 CONVERGED = "converged"
@@ -251,15 +251,21 @@ def check_semiconjugacy(
     radius: float = 0.5,
     rng=None,
 ) -> Report:
-    """Pointwise and orbit-level commutation of projection and dynamics."""
+    """The projection sends the 3D word to its zeta-word G.
+
+    Compares pi o word with G o pi at sampled points and along one orbit,
+    and push_forward(word.jet(8)) with G.jet(4) coefficient by coefficient,
+    relative to the larger of the two (nan if either is nan).
+    """
     rng = rng or random.Random(0)
+    planar = planar_word(word)
     report = Report(title="semi-conjugacy")
 
     worst = 0.0
     for _ in range(samples):
         p = sample_ball_point(rng, 3, radius)
         lhs = project_pi(word(p))
-        rhs = eval_pushforward(word, project_pi(p))
+        rhs = planar(project_pi(p))
         worst = max(worst, max(abs(a - b) for a, b in zip(lhs, rhs)))
     report.add("pointwise", worst <= 1e-12, defect=worst, tolerance=1e-12)
 
@@ -268,10 +274,17 @@ def check_semiconjugacy(
     worst_orbit = 0.0
     for _ in range(1000):
         p = word(p)
-        q = eval_pushforward(word, q)
+        q = planar(q)
         worst_orbit = max(worst_orbit, max(abs(a - b) for a, b in zip(project_pi(p), q)))
     report.add("orbit_level", worst_orbit <= 1e-9, defect=worst_orbit, tolerance=1e-9,
                note="1000 steps from (0.1, 0.1, 0.05)")
+
+    pushed, own = push_forward(word.jet(8)), planar.jet(4)
+    pairs = [(f.coefficient(e), g.coefficient(e)) for f, g in zip(pushed.components, own.components)
+             for e in f.terms.keys() | g.terms.keys()]
+    jet_defect = float(np.max([abs(x - y) / max(abs(x), abs(y)) for x, y in pairs], initial=0.0))
+    report.add("jet", jet_defect <= 1e-12, defect=jet_defect, tolerance=1e-12,
+               note="push_forward of the order-8 jet against the order-4 jet, relative per coefficient")
     return report
 
 
@@ -350,7 +363,7 @@ def check_projection_statuses(
     cfg: OrbitConfig | None = None,
     radius: float = 0.08,
 ) -> Report:
-    """Orbit status downstairs matches the status of the square-root lift.
+    """The orbit status of the zeta-word G matches that of its square-root lift.
 
     Pairs where either orbit stays undecided within the budget are excluded
     as borderline; the report lists them and any genuine disagreements with
@@ -359,7 +372,7 @@ def check_projection_statuses(
     rng = rng or random.Random(0)
     cfg = cfg or OrbitConfig(max_iter=20_000, eps_converged=0.02, record_stride=10_000)
     report = Report(title="projection statuses")
-    planar = PushforwardMap(word)
+    planar = planar_word(word)
 
     def pair_statuses(x: complex, y: complex) -> tuple[Status, Status]:
         s = cmath.sqrt(x)
@@ -495,7 +508,7 @@ def petal_rate(
 def check_trace_consistency(word: MapWord, zeta0: float = 0.01, steps: int = 2000) -> Report:
     """Compare the 3D zeta trace with planar models of the same orbit.
 
-    Against the true planar orbit the traces agree to roundoff.  Freezing
+    Against the orbit of the zeta-word G the traces agree to roundoff.  Freezing
     the second planar coordinate at zero does NOT reproduce the trace: the
     {w = 0} plane is not invariant downstairs (the w-image of (z, t, 0)
     carries a cubic term in the product coordinate), so that model is
@@ -505,7 +518,7 @@ def check_trace_consistency(word: MapWord, zeta0: float = 0.01, steps: int = 200
     s = math.sqrt(zeta0)
     cfg = OrbitConfig(max_iter=steps, eps_converged=1e-15, escape_radius=10.0, record_stride=1)
     orbit = iterate(word, (s, s, 0.0), cfg)
-    planar = PushforwardMap(word)
+    planar = planar_word(word)
 
     q = (complex(zeta0), 0j)
     worst_true = 0.0

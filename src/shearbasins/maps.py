@@ -14,10 +14,12 @@ automorphism tangent to the identity whose components have the normal form
     F_i = z_i (1 - a_i zeta + h.o.t.),    F_w = w (1 - b zeta + h.o.t.) + O(zeta^3)
 
 which :func:`verify_normal_form` certifies monomial by monomial.  For k = 2
-(coordinates z, t, w) the word is the classical three-dimensional example;
-the projection (z, t, w) -> (zt, w) semi-conjugates it to a planar map that
-:func:`push_forward` extracts symbolically and :func:`eval_pushforward`
-evaluates exactly through a square-root lift.
+(coordinates z, t, w) the word is the classical three-dimensional example.
+Each factor acts on (zeta, w) as a one-coordinate factor of weight A would,
+so the projection (z, w) -> (zeta, w) semi-conjugates the word to its
+zeta-word :func:`planar_word`, for k = 2 the planar map G.  Its checks are
+:func:`push_forward` (G's jet from the word's jet) and
+:func:`eval_pushforward` (G through a square-root lift).
 """
 
 from __future__ import annotations
@@ -196,6 +198,8 @@ class ElementaryMap:
 class MapWord:
     """Composition word; ``factors[0]`` is applied last, ``factors[-1]`` first.
 
+    Any k >= 1 is allowed; :func:`planar_word` builds k = 1 words.
+
     Construction compiles the word from ``_FORMULAS`` into one straight-line
     scalar step (``__call__``) and one numpy batch step (``eval_batch``).
     Both do the float operations of applying the factors' closed forms one
@@ -310,6 +314,12 @@ def build_F(params: Params) -> MapWord:
     return build_family(2, (params.a, params.b), params.c)
 
 
+def planar_word(word: MapWord) -> MapWord:
+    """The map ``word`` induces on (zeta, w), for F3 the map G: the same
+    factors, each with the single weight sum(f.weights) that its twist uses."""
+    return MapWord(tuple(ElementaryMap(f.kind, (sum(f.weights),), f.w_coeff) for f in word.factors))
+
+
 # ----------------------------------------------------------------------
 # projection to the (zeta, w) plane
 
@@ -322,7 +332,7 @@ def project_pi(p: Sequence[complex]) -> tuple[complex, complex]:
 
 
 def push_forward(jet_map: JetMap) -> JetMap:
-    """Planar jet induced along (z, t, w) -> (zt, w).
+    """Planar jet induced along (z, t, w) -> (zt, w), the check of G's jet.
 
     Every monomial of (F1*F2, F3) must carry equal z and t exponents;
     otherwise the map does not descend and SemiConjugacyError is raised.
@@ -350,7 +360,7 @@ def push_forward(jet_map: JetMap) -> JetMap:
 
 
 def eval_pushforward(word: MapWord, q: Sequence[complex]) -> tuple[complex, complex]:
-    """Exact induced planar map via the square-root lift (sqrt x, sqrt x, y).
+    """G through the square-root lift (sqrt x, sqrt x, y), the reference for :func:`planar_word`.
 
     Uses the principal branch; the result is branch independent because the
     word commutes with (z, t) -> (lambda z, t / lambda).
@@ -361,29 +371,6 @@ def eval_pushforward(word: MapWord, q: Sequence[complex]) -> tuple[complex, comp
         raise DimensionError("expected a planar point (x, y)")
     s = cmath.sqrt(complex(q[0]))
     return project_pi(word((s, s, complex(q[1]))))
-
-
-@dataclass(frozen=True)
-class PushforwardMap:
-    """Picklable evaluator for the induced planar map."""
-
-    word: MapWord
-
-    @property
-    def dim(self) -> int:
-        return 2
-
-    def __call__(self, q: Sequence[complex]) -> tuple[complex, complex]:
-        return eval_pushforward(self.word, q)
-
-    def jet(self, order: int) -> JetMap:
-        return push_forward(self.word.jet(2 * order))
-
-    def eval_batch(self, coords: list[np.ndarray]) -> list[np.ndarray]:
-        with np.errstate(over="ignore", invalid="ignore", under="ignore"):
-            s = np.sqrt(coords[0])
-            z, t, w = self.word.eval_batch([s, s, coords[1]])
-            return [z * t, w]
 
 
 # ----------------------------------------------------------------------
@@ -589,4 +576,4 @@ def map_from_spec(spec: dict):
     if family == "PROTO_1D":
         return Prototype("quadratic_1d", weights[0])
     word = build_F(Params(weights[0], float(spec.get("b", weights[0])), float(spec.get("c", 3.0))))
-    return word if family == "F3" else PushforwardMap(word)
+    return word if family == "F3" else planar_word(word)

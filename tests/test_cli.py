@@ -51,7 +51,7 @@ JET_DIGESTS = {
     ("expand", "--map", "F3", "--order", "6"):
         "cd041c1436144d07f2e0614940a4e424985149edb5665c9f4ae22dc61f7f7f1a",
     ("expand", "--map", "G", "--order", "6"):
-        "1f2b0050ad80465e546d6bbf74ca271b923b7776b0990c45946335883cc8b888",
+        "6a4c8a1f66188ceeae90f80b5eb01429ca9344aa5e62ebf0e0026c8e87506bfb",
     ("expand", "--map", "PROTO_1D", "--order", "6"):
         "71bfd29cfcb09e1c20e371588ea6b4876b761d9f27a631aef52ae3111cdbe86e",
     ("expand", "--map", "PROTO_2D", "--order", "6"):
@@ -111,6 +111,7 @@ def test_verify_unequal_weights_skip_symmetry(capsys):
     assert code == 0
     assert "SKIP" in out
     assert "regime not satisfied: a != b" in out
+    assert "director (c-a-b)/(a+b) = 0.333333" in out
 
 
 def test_verify_exit_one_on_failure(monkeypatch, capsys):
@@ -135,6 +136,16 @@ def test_directions_planar(capsys):
     assert "leading degree r = 2" in out
     assert "NON_DEGENERATE_ATTRACTING" in out
     assert "directors=0.5" in out
+
+
+def test_directions_planar_with_unequal_weights(capsys, tmp_path):
+    """The director at [1:0] is (c - a - b)/(a + b); no warning when it is found."""
+    out_path = tmp_path / "g.json"
+    code, out, _ = run(capsys, "directions", "--map", "G", "--a", "1", "--b", "2", "--c", "5",
+                       "--json-out", str(out_path))
+    assert code == 0
+    assert "directors=0.666667" in out
+    assert "WARN" not in out and json.loads(out_path.read_text())["warnings"] == []
 
 
 def test_directions_word_reports_families_and_warns_about_extras(capsys):

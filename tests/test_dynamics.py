@@ -48,7 +48,7 @@ from shearbasins.dynamics import (
     write_orbit_csv,
     write_pgm,
 )
-from shearbasins.maps import ElementaryKind, ElementaryMap, MapWord, Params, Prototype, PushforwardMap, build_F
+from shearbasins.maps import ElementaryKind, ElementaryMap, MapWord, Params, Prototype, build_F, planar_word
 
 P113 = Params(1.0, 1.0, 3.0)
 QUAD = Prototype("quadratic_1d", 1.0)
@@ -135,7 +135,7 @@ def test_tangent_trivial_in_one_variable():
 def test_tangent_of_planar_orbit_approaches_first_axis():
     # the direction ratio decays like n^(-1/2), so the estimate closes in
     # on [1:0] slowly; assert stability and monotone approach
-    planar = PushforwardMap(build_F(P113))
+    planar = planar_word(build_F(P113))
     orbit = iterate(planar, (0.01, 0.01), OrbitConfig(max_iter=5000, eps_converged=1e-9))
     tangent, stable = estimate_tangent(orbit)
     assert stable
@@ -173,6 +173,18 @@ def test_semiconjugacy_check_passes():
     assert report.passed
     assert report["pointwise"].defect <= 1e-12
     assert report["orbit_level"].defect <= 1e-9
+    assert report["jet"].defect <= 1e-12
+
+
+def test_semiconjugacy_check_fails_for_a_mutated_weight(monkeypatch):
+    """G compiled with weight a + b + 1e-9 fails the pointwise and the jet comparison."""
+    word = build_F(P113)
+    mutated = MapWord(tuple(ElementaryMap(f.kind, (f.weights[0] + 1e-9,), f.w_coeff)
+                            for f in planar_word(word).factors))
+    assert mutated.factors[0].weights == (2 + 1e-9,)
+    monkeypatch.setattr(dynamics, "planar_word", lambda w: mutated)
+    report = check_semiconjugacy(word, samples=100)
+    assert not report["pointwise"].ok and not report["jet"].ok
 
 
 def test_equivariance_check_passes():
@@ -390,7 +402,7 @@ def test_classify_batch_matches_iterate_pixel_by_pixel():
     slices = {
         "lifted F3": (word, SliceSpec(base=(0j,) * 3, dir1=(0j,) * 3, dir2=(0j,) * 3,
                                       lift="pos", w_fix=0.05 + 0j, **kwargs)),
-        "G": (PushforwardMap(word), SliceSpec(base=(0j, 0.05 + 0j), dir1=(1 + 0j, 0j),
+        "G": (planar_word(word), SliceSpec(base=(0j, 0.05 + 0j), dir1=(1 + 0j, 0j),
                                               dir2=(1j, 0j), **kwargs)),
     }
     for name, (map_obj, spec) in slices.items():
@@ -422,7 +434,7 @@ def test_classify_batch_decides_edge_starts_like_iterate():
         (CONVERGED, 1, "stationary inside the eps ball"),
     ]
     planar = [(nan, 0.05 + 0j), (1e200 + 0j, 0j), (0j, 0.05 + 0j), (0j, 1e-4 + 0j), (0.02 + 0j, 0.01 + 0j)]
-    _agree_with_iterate(PushforwardMap(build_F(P113)), planar, cfg)
+    _agree_with_iterate(planar_word(build_F(P113)), planar, cfg)
 
 
 def test_classify_batch_of_a_word_that_returns_its_inputs():
@@ -489,7 +501,7 @@ def test_rasters_of_the_word_raise_no_runtime_warnings():
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         f3 = sample_slice(word, lifted, cfg)
-        g = sample_slice(PushforwardMap(word), planar, cfg)
+        g = sample_slice(planar_word(word), planar, cfg)
     assert f3.counts()["escaped"] > 0 and g.counts()["escaped"] > 0
 
 

@@ -5,6 +5,8 @@ No linter is assumed, so the check parses each module with ``ast``.
 """
 
 import ast
+import importlib
+import importlib.util
 from pathlib import Path
 
 import pytest
@@ -33,3 +35,30 @@ def test_the_check_finds_an_unused_import():
 @pytest.mark.parametrize("module", MODULES)
 def test_every_module_level_import_is_used(module):
     assert unused_imports((PACKAGE / module).read_text()) == []
+
+
+# ----------------------------------------------------------------------
+# the package names the benchmark harness reaches for
+
+BENCH = Path(__file__).resolve().parents[1] / "bench"
+
+
+def test_every_traced_callable_exists():
+    """``bench/tracing.py`` wraps each ``(owner, attr)`` of SPANS by name; a
+    missing one breaks traced benchmark runs, whose own tests are slow."""
+    spec = importlib.util.spec_from_file_location("bench_tracing", BENCH / "tracing.py")
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    missing = [f"{getattr(owner, '__name__', owner)}.{attr}" for owner, attr, *_ in tracing.SPANS
+               if not callable(getattr(owner, attr, None))]
+    assert missing == []
+
+
+def test_every_package_name_the_gate_imports_exists():
+    tree = ast.parse((BENCH / "gate.py").read_text())
+    names = [(node.module, alias.name) for node in tree.body if isinstance(node, ast.ImportFrom)
+             and (node.module or "").split(".")[0] == "shearbasins" for alias in node.names]
+    assert names
+    missing = [f"{module}.{name}" for module, name in names
+               if not hasattr(importlib.import_module(module), name)]
+    assert missing == []

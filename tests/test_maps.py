@@ -28,13 +28,13 @@ from shearbasins.maps import (
     MapWord,
     Params,
     Prototype,
-    PushforwardMap,
     SemiConjugacyError,
     build_F,
     build_family,
     eval_pushforward,
     family_in_regime,
     map_from_spec,
+    planar_word,
     project_pi,
     push_forward,
     verify_form_eq1,
@@ -390,6 +390,49 @@ def test_eval_pushforward_branch_independent():
         assert max(abs(a - b) for a, b in zip(plus, minus)) < 1e-13
 
 
+def conditioned_defect(x, y) -> float:
+    """Largest coordinate error relative to |y| ln|y|, the condition of exp at y.
+
+    The w-coordinate of G grows doubly exponentially (to 1e150 on the
+    square below), so a rounding of its exponent's argument shows up
+    multiplied by that argument, about ln|y|.
+    """
+    worst = 0.0
+    for a, b in zip(x, y):
+        scale = max(abs(a), abs(b))
+        if scale:
+            worst = max(worst, abs(a - b) / (scale * max(1.0, math.log(scale))))
+    return worst
+
+
+@pytest.mark.parametrize("params", [Params(1.0, 1.0, 3.0), Params(2.0, 0.5, 1.3)])
+def test_zeta_word_agrees_with_the_square_root_lift(params):
+    word = build_F(params)
+    g = planar_word(word)
+    assert g.dim == 2 and [f.kind for f in g.factors] == [f.kind for f in word.factors]
+    assert all(f.weights == (params.a + params.b,) and f.w_coeff == params.c for f in g.factors)
+    rng = random.Random(12)
+    worst = 0.0
+    for _ in range(2000):
+        q = tuple(complex(rng.uniform(-0.5, 0.5), rng.uniform(-0.5, 0.5)) for _ in range(2))
+        worst = max(worst, conditioned_defect(g(q), eval_pushforward(word, q)))
+    assert worst <= 1e-12
+
+
+def test_family_word_projects_onto_its_zeta_word():
+    word = build_family(3, (0.7, 0.3, 1.1), 5.3)
+    g = planar_word(word)
+    assert g.dim == 2 and all(f.weights == (0.7 + 0.3 + 1.1,) for f in g.factors)
+    rng = random.Random(13)
+    worst = 0.0
+    for _ in range(500):
+        p = tuple(complex(rng.uniform(-0.5, 0.5), rng.uniform(-0.5, 0.5)) for _ in range(4))
+        image = word(p)
+        lhs = (image[0] * image[1] * image[2], image[3])
+        worst = max(worst, conditioned_defect(lhs, g((p[0] * p[1] * p[2], p[3]))))
+    assert worst <= 1e-12
+
+
 def test_semiconjugacy_pointwise():
     word = build_F(P113)
     rng = random.Random(10)
@@ -508,7 +551,9 @@ def test_prototype_jets():
 
 def test_map_from_spec_variants():
     assert isinstance(map_from_spec({"family": "F3", "a": 1, "b": 1, "c": 3}), MapWord)
-    assert isinstance(map_from_spec({"family": "G", "a": 1, "c": 3}), PushforwardMap)
+    g = map_from_spec({"family": "G", "a": 1, "b": 2, "c": 3})
+    assert isinstance(g, MapWord) and g.dim == 2
+    assert [f.weights for f in g.factors] == [(3.0,)] * 5 and {f.w_coeff for f in g.factors} == {3.0}
     assert isinstance(map_from_spec({"family": "PROTO_1D", "a": 1}), Prototype)
     assert isinstance(map_from_spec({"family": "PROTO_2D"}), Prototype)
     fam = map_from_spec({"family": "FAMILY_K", "k": 3, "a": [1, 1, 1], "b": 4})
@@ -517,8 +562,8 @@ def test_map_from_spec_variants():
         map_from_spec({"family": "NOPE"})
     # the defaults: a = 1, c = 3, k = 3, b = a for F3 and G, b = 4 for FAMILY_K
     assert map_from_spec({"family": "F3"}) == build_F(P113)
-    assert map_from_spec({"family": "G"}) == PushforwardMap(build_F(P113))
-    assert map_from_spec({"family": "G", "a": 2}) == PushforwardMap(build_F(Params(2.0, 2.0, 3.0)))
+    assert map_from_spec({"family": "G"}) == planar_word(build_F(P113))
+    assert map_from_spec({"family": "G", "a": 2}) == planar_word(build_F(Params(2.0, 2.0, 3.0)))
     assert map_from_spec({"family": "PROTO_1D"}) == Prototype("quadratic_1d", 1.0)
     assert map_from_spec({"family": "FAMILY_K"}) == build_family(3, (1.0, 1.0, 1.0), 4.0)
     # a is a number or a list; one weight is repeated k times for the family

@@ -276,7 +276,7 @@ def _check_directions(report: Report, params: Params, word: MapWord, rng: random
 
     value = _planar_director(planar)
     director = f"{'(c-2a)/(2a)' if params.a == params.b else '(c-a-b)/(a+b)'} = {value:g}"
-    if params.in_chosen_regime:
+    if family_in_regime((params.a, params.b), params.c):
         report.add("directions.regime_advisory", True, note=f"chosen regime holds; planar director {director} > 0")
     else:
         report.add("directions.regime_advisory", True, status=WARN,
@@ -386,9 +386,11 @@ def _apply_config_file(ns: argparse.Namespace, parser: argparse.ArgumentParser) 
     """Override the flags with a JSON object whose keys are options of the
     command; a map spec (``family`` names the map) may stand at the top
     level or under ``map``.  Each value passes through its option's type
-    (str if it has none), and a list is accepted only by an option that
-    takes several values, with as many items as the option takes.  Any
-    other key, value or top level is invalid."""
+    (str if it has none) as a flag's text: a string as it is, any other
+    value as its JSON text, so ``true`` or 6.7 is no int.  A list is
+    accepted only by an option that takes several values, with as many
+    items as the option takes.  Any other key, value or top level is
+    invalid."""
     if not getattr(ns, "config", None):
         return
     with open(ns.config) as handle:
@@ -409,7 +411,7 @@ def _apply_config_file(ns: argparse.Namespace, parser: argparse.ArgumentParser) 
         try:
             if any(isinstance(v, (list, dict)) for v in values) or action.nargs not in (None, "+", len(values)):
                 raise TypeError
-            typed = [(action.type or str)(v) for v in values]
+            typed = [(action.type or str)(v if isinstance(v, str) else json.dumps(v)) for v in values]
         except (TypeError, ValueError):
             raise ValueError(f"config file {ns.config}: {value!r} is not a valid value of {key!r}") from None
         setattr(ns, action.dest, typed if values is value else typed[0])

@@ -19,7 +19,9 @@ Each factor acts on (zeta, w) as a one-coordinate factor of weight A would,
 so the projection (z, w) -> (zeta, w) semi-conjugates the word to its
 zeta-word :func:`planar_word`, for k = 2 the planar map G.  Its checks are
 :func:`push_forward` (G's jet from the word's jet) and
-:func:`eval_pushforward` (G through a square-root lift).
+:func:`eval_pushforward` (G through a square-root lift).  Each closed form
+is written once, in ``_FORMULAS``; a :class:`MapWord` compiles its factors
+into one scalar step, for complex points and jets alike, and one batch step.
 """
 
 from __future__ import annotations
@@ -28,7 +30,6 @@ import cmath
 import math
 from dataclasses import dataclass
 from enum import Enum
-from functools import lru_cache
 from typing import Sequence
 
 import numpy as np
@@ -61,11 +62,6 @@ class Params:
         if self.a == 0 or self.b == 0 or self.c == 0:
             raise DomainError("shear parameters a, b, c must all be nonzero")
 
-    @property
-    def in_chosen_regime(self) -> bool:
-        """a = b > 0 and c > 2a, the regime used for the basin statements."""
-        return self.a == self.b and self.a > 0 and self.c > 2 * self.a
-
 
 def family_in_regime(weights: Sequence[float], w_coeff: float) -> bool:
     """All z-weights equal, real and positive, and the w-weight exceeds their sum."""
@@ -95,7 +91,7 @@ _INVERSE_KIND = {
 # numpy arrays: the argument of its exponential e, or None, then its updates
 # "x op y", each meaning x = x op y.  A z-kind runs them for every z_i, with
 # {a} its weight; {rate} = {total} + w_coeff.  The scalar step built from it
-# also gives ElementaryMap.jet.
+# also gives MapWord.jet.
 _FORMULAS = {
     ElementaryKind.SHEAR: (None, ["w - zeta"]),
     ElementaryKind.SHEAR_INV: (None, ["w + zeta"]),
@@ -170,7 +166,7 @@ def batch(coords):
 
 @dataclass(frozen=True)
 class ElementaryMap:
-    """One elementary automorphism of C^{k+1} with its exact closed form."""
+    """One factor of a word (kind, z-weights, w-coefficient); ``MapWord((f,))`` evaluates it."""
 
     kind: ElementaryKind
     weights: tuple[float, ...]
@@ -182,16 +178,6 @@ class ElementaryMap:
 
     def inverse(self) -> "ElementaryMap":
         return ElementaryMap(_INVERSE_KIND[self.kind], self.weights, self.w_coeff)
-
-    def __call__(self, p: Sequence[complex]) -> tuple[complex, ...]:
-        return _one_factor_word(self)(p)
-
-    def eval_batch(self, coords: list[np.ndarray]) -> list[np.ndarray]:
-        return _one_factor_word(self).eval_batch(coords)
-
-    def jet(self, order: int) -> JetMap:
-        xs = [Jet.variable(self.dim, order, i) for i in range(self.dim)]
-        return JetMap(_one_factor_word(self)._step(xs, Jet.exp, lambda x: x))
 
 
 @dataclass(frozen=True)
@@ -213,8 +199,9 @@ class MapWord:
 
     The scalar step also serves jets: its exponential and its coordinate
     conversion are parameters, cmath.exp and complex by default, and
-    ElementaryMap.jet runs it on Jet variables with Jet.exp and no
-    conversion.  They exist for that one caller and are not user options.
+    ``jet`` runs it on Jet variables with Jet.exp and no conversion, so a
+    word's jet is the whole word evaluated on jets, one truncated product
+    at a time.  They exist for that one caller and are not user options.
 
     Each factor takes one exponential per distinct weight, shared by the
     z_i of that weight and named e before any product uses it: with equal
@@ -270,17 +257,8 @@ class MapWord:
         return MapWord(other.factors + self.factors)
 
     def jet(self, order: int) -> JetMap:
-        result: JetMap | None = None
-        for factor in reversed(self.factors):
-            fj = factor.jet(order)
-            result = fj if result is None else fj.compose(result)
-        return result
-
-
-@lru_cache(maxsize=64)
-def _one_factor_word(factor: ElementaryMap) -> MapWord:
-    """The compiled word of one factor; equal factors share it."""
-    return MapWord((factor,))
+        xs = [Jet.variable(self.dim, order, i) for i in range(self.dim)]
+        return JetMap(self._step(xs, Jet.exp, lambda x: x))
 
 
 def build_family(k: int, weights: Sequence[float], w_coeff: float) -> MapWord:

@@ -49,9 +49,9 @@ def test_expand_planar_map(capsys):
 # would move that one number.
 JET_DIGESTS = {
     ("expand", "--map", "F3", "--order", "6"):
-        "cd041c1436144d07f2e0614940a4e424985149edb5665c9f4ae22dc61f7f7f1a",
+        "1608583764c1c7a80b3d65b404a1e4782e3d486dcf1aabe76ce9b757e588206d",
     ("expand", "--map", "G", "--order", "6"):
-        "6a4c8a1f66188ceeae90f80b5eb01429ca9344aa5e62ebf0e0026c8e87506bfb",
+        "030ea9530c1e629ed4488c0fead2ba6b53f39146e5d6833eb0a27be638cf5ce0",
     ("expand", "--map", "PROTO_1D", "--order", "6"):
         "71bfd29cfcb09e1c20e371588ea6b4876b761d9f27a631aef52ae3111cdbe86e",
     ("expand", "--map", "PROTO_2D", "--order", "6"):
@@ -490,6 +490,10 @@ def test_config_file_with_other_keys_is_exit_two(tmp_path, capsys, data, message
     ("orbit", {"start": {"z": 1}}, "{'z': 1} is not a valid value of 'start'"),
     ("basin", {"slice": 1}, "1 is not a valid value of 'slice'"),
     ("basin", {"res": [100]}, "[100] is not a valid value of 'res'"),
+    ("expand", {"order": True}, "True is not a valid value of 'order'"),
+    ("expand", {"order": None}, "None is not a valid value of 'order'"),
+    ("verify", {"seed": 6.7}, "6.7 is not a valid value of 'seed'"),
+    ("orbit", {"max-iter": 6.7}, "6.7 is not a valid value of 'max-iter'"),
 ])
 def test_config_value_of_the_wrong_type_is_exit_two(tmp_path, capsys, command, data, message):
     config = tmp_path / "bad.json"

@@ -17,10 +17,8 @@ import math
 import pickle
 import random
 
-import numpy as np
 import pytest
 
-from shearbasins import maps
 from shearbasins.jets import DimensionError, DomainError, Jet, JetMap
 from shearbasins.maps import (
     ElementaryKind,
@@ -74,19 +72,19 @@ def ball_point(rng, dim, radius):
 
 
 def test_shear_closed_form():
-    shear = ElementaryMap(ElementaryKind.SHEAR, (1.0, 1.0), 3.0)
+    shear = MapWord((ElementaryMap(ElementaryKind.SHEAR, (1.0, 1.0), 3.0),))
     assert shear((1, 2, 3)) == (1, 2, 1)
 
 
 def test_overshear_fixes_zero_w():
-    overshear = ElementaryMap(ElementaryKind.OVERSHEAR, (1.0, 1.0), 3.0)
+    overshear = MapWord((ElementaryMap(ElementaryKind.OVERSHEAR, (1.0, 1.0), 3.0),))
     assert overshear((1, 1, 0)) == (1, 1, 0)
 
 
 def test_each_kind_inverts():
     rng = random.Random(0)
     for kind in ElementaryKind:
-        factor = ElementaryMap(kind, (1.0, 1.0), 3.0)
+        factor = MapWord((ElementaryMap(kind, (1.0, 1.0), 3.0),))
         worst = 0.0
         for _ in range(100):
             p = ball_point(rng, 3, 1.0)
@@ -96,31 +94,19 @@ def test_each_kind_inverts():
 
 
 def test_twist_round_trip_radius_one():
-    twist = ElementaryMap(ElementaryKind.TWIST, (1.0, 1.0), 3.0)
+    factor = ElementaryMap(ElementaryKind.TWIST, (1.0, 1.0), 3.0)
+    twist = MapWord((factor,))
     rng = random.Random(1)
     for _ in range(100):
         p = ball_point(rng, 3, 1.0)
         q = twist(twist.inverse()(p))
         assert max(abs(x - y) for x, y in zip(p, q)) <= 1e-13
-
-
-def test_elementary_map_reuses_one_compiled_word(monkeypatch):
-    compiled = []
-    compile_word = maps._compile
-    monkeypatch.setattr(maps, "_compile", lambda factors: compiled.append(factors) or compile_word(factors))
-    maps._one_factor_word.cache_clear()
-    twist = ElementaryMap(ElementaryKind.TWIST, (1.0, 1.0), 3.0)
-    p = (0.1 + 0.2j, -0.3j, 0.05 + 0j)
-    assert twist(p) == twist(p) == MapWord((twist,))(p)
-    twist.eval_batch([np.array([x]) for x in p])
-    ElementaryMap(ElementaryKind.TWIST, (1.0, 1.0), 3.0)(p)
-    assert compiled == [(twist,), (twist,)]  # the cached word, then the MapWord built above
-    assert pickle.loads(pickle.dumps(twist)) == twist
-    assert hash(twist) == hash(ElementaryMap(ElementaryKind.TWIST, (1.0, 1.0), 3.0))
+    assert pickle.loads(pickle.dumps(factor)) == factor
+    assert hash(factor) == hash(ElementaryMap(ElementaryKind.TWIST, (1.0, 1.0), 3.0))
 
 
 def test_shear_jet_is_exact_polynomial():
-    shear = ElementaryMap(ElementaryKind.SHEAR, (1.0, 1.0), 3.0)
+    shear = MapWord((ElementaryMap(ElementaryKind.SHEAR, (1.0, 1.0), 3.0),))
     jet = shear.jet(4)
     assert jet == JetMap(
         [
@@ -607,4 +593,4 @@ def test_non_finite_parameters_are_rejected():
                 map_from_spec({"family": family, "a": bad})
     # a single factor takes any weight; nan is what keeps its exponential unshared
     nan_factor = ElementaryMap(ElementaryKind.OVERSHEAR, (math.nan, math.nan), 1.0)
-    assert all(cmath.isnan(x) for x in nan_factor((1.0, 1.0, 1.0))[:2])
+    assert all(cmath.isnan(x) for x in MapWord((nan_factor,))((1.0, 1.0, 1.0))[:2])

@@ -18,15 +18,20 @@ multiply-adds) and np.exp differs from cmath.exp near overflow.  The two are
 compared by which outputs are finite, and by value at the working scale of
 orbits and rasters.
 
-The jet of a factor is the scalar step run on jet variables, and the jets
-of the prototypes come from the same closed form as their values.  Both are
-checked bit for bit against the closed forms written out on jets by hand.
+The jet of a word is its scalar step run on jet variables, and the jets of
+the prototypes come from the same closed form as their values.  One-factor
+words and prototypes are checked bit for bit against the closed forms
+written out on jets by hand.  Whole words are checked against their exact
+jets: the one-factor steps applied in turn to jets with Fraction
+coefficients, which share no code with the multi-factor compiler.
 """
 
 import cmath
 import math
 import pickle
 import struct
+from fractions import Fraction
+from operator import add
 
 import numpy as np
 import pytest
@@ -34,7 +39,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from shearbasins import maps
-from shearbasins.jets import DimensionError, Jet, JetMap
+from shearbasins.jets import PRUNE_THRESHOLD, DimensionError, Jet, JetMap
 from shearbasins.maps import (
     ElementaryKind,
     ElementaryMap,
@@ -199,18 +204,6 @@ def test_long_orbit_is_bitwise_the_oracle():
     for _ in range(100_000):
         p, q = word(p), scalar_oracle(word, q)
     assert bits(p) == bits(q)
-
-
-def test_elementary_map_is_a_one_factor_word():
-    p = (0.3 - 0.1j, -0.2 + 0.4j, 0.5 + 0.25j)
-    coords = [np.array([x]) for x in p]
-    for kind in ElementaryKind:
-        f = ElementaryMap(kind, (1.0, 2.0), 5.0)
-        assert bits(f(p)) == bits(scalar_oracle(MapWord((f,)), p))
-        assert all(
-            a.tobytes() == b.tobytes()
-            for a, b in zip(f.eval_batch(coords), batch_oracle(MapWord((f,)), coords))
-        )
 
 
 def test_one_exponential_per_bitwise_distinct_weight(monkeypatch):
@@ -408,8 +401,9 @@ def test_factor_jets_are_bitwise_the_closed_forms(weights):
     for kind in ElementaryKind:
         for k in range(1, 5):
             f = ElementaryMap(kind, FACTOR_WEIGHTS[weights](k), 3.0)
+            word = MapWord((f,))
             for order in range(13):
-                assert jet_bits(f.jet(order)) == jet_bits(factor_jet_oracle(f, order)), (kind, k, order)
+                assert jet_bits(word.jet(order)) == jet_bits(factor_jet_oracle(f, order)), (kind, k, order)
 
 
 def test_prototype_jets_are_bitwise_the_closed_forms():
@@ -417,6 +411,86 @@ def test_prototype_jets_are_bitwise_the_closed_forms():
                   Prototype("quadratic_1d", 0.1), Prototype("product_2d")):
         for order in range(13):
             assert jet_bits(proto.jet(order)) == jet_bits(prototype_jet_oracle(proto, order))
+
+
+class ExactJet:
+    """A truncated power series in n variables with real Fraction
+    coefficients; a scalar operand (a float, or a complex with zero
+    imaginary part) is taken exactly."""
+
+    def __init__(self, n: int, order: int, terms: dict):
+        self.n, self.order = n, order
+        self.terms = {e: c for e, c in terms.items() if c}
+
+    @classmethod
+    def monomial(cls, n: int, order: int, e: tuple) -> "ExactJet":
+        return cls(n, order, {e: Fraction(1)})
+
+    def __add__(self, other: "ExactJet") -> "ExactJet":
+        terms = dict(self.terms)
+        for e, c in other.terms.items():
+            terms[e] = terms.get(e, 0) + c
+        return ExactJet(self.n, self.order, terms)
+
+    def __sub__(self, other: "ExactJet") -> "ExactJet":
+        return self + other * -1
+
+    def __mul__(self, other) -> "ExactJet":
+        if not isinstance(other, ExactJet):
+            if isinstance(other, complex):
+                assert other.imag == 0
+                other = other.real
+            scalar = Fraction(other)
+            return ExactJet(self.n, self.order, {e: c * scalar for e, c in self.terms.items()})
+        acc = {}
+        for ea, ca in self.terms.items():
+            for eb, cb in other.terms.items():
+                e = tuple(map(add, ea, eb))
+                if sum(e) <= self.order:
+                    acc[e] = acc.get(e, 0) + ca * cb
+        return ExactJet(self.n, self.order, acc)
+
+    __rmul__ = __mul__
+
+    def exp(self) -> "ExactJet":
+        one = ExactJet.monomial(self.n, self.order, (0,) * self.n)
+        assert one.terms.keys().isdisjoint(self.terms)
+        result = term = one
+        for m in range(1, self.order + 1):
+            term = term * self * Fraction(1, m)
+            result = result + term
+        return result
+
+
+def exact_word_jet(word: MapWord, order: int) -> list:
+    """The word's jet in exact arithmetic: each factor's one-factor step in turn."""
+    n = word.dim
+    xs = [ExactJet.monomial(n, order, tuple(int(i == j) for j in range(n))) for i in range(n)]
+    for f in reversed(word.factors):
+        xs = MapWord((f,))._step(xs, ExactJet.exp, lambda x: x)
+    return list(xs)
+
+
+@pytest.mark.parametrize("word, order", [
+    (build_F(Params(1.0, 1.0, 3.0)), 8),
+    (build_F(Params(0.1, 0.7, 3.3)), 8),
+    (planar_word(build_F(Params(1.0, 1.0, 3.0))), 8),
+    (build_family(4, (1.0,) * 4, 5.0), 10),
+    (build_family(3, (0.7, 0.3, 1.1), 5.3), 8),
+], ids=["F3(1,1,3)", "F3(0.1,0.7,3.3)", "G(1,1,3)", "K4(1;5)", "K3(0.7,0.3,1.1;5.3)"])
+def test_word_jet_is_the_exact_jet_to_roundoff(word, order):
+    """Every coefficient of modulus at least PRUNE_THRESHOLD agrees with the
+    exact one to 1e-14 relative, and the float jet keeps exactly those.
+    Smaller exact coefficients, such as the zeta^2 term -(a + b - fl(a + b))
+    of the w-component, are left unchecked either way."""
+    threshold = Fraction(PRUNE_THRESHOLD)
+    for got, exact in zip(word.jet(order).components, exact_word_jet(word, order)):
+        kept = {e: c for e, c in exact.terms.items() if abs(c) >= threshold}
+        assert got.terms.keys() == kept.keys()
+        for e, c in kept.items():
+            x = got.terms[e]
+            err = math.hypot(float(Fraction(x.real) - c), x.imag)
+            assert err <= 1e-14 * abs(float(c)), (e, err / abs(float(c)))
 
 
 def test_pushforward_jet_is_the_pushed_forward_word_jet():

@@ -23,7 +23,6 @@ from .maps import (
     planar_word,
     project_pi,
     push_forward,
-    verify_form_eq1,
     verify_normal_form,
 )
 from .directions import (

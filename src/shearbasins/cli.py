@@ -23,13 +23,10 @@ from . import dynamics as dyn
 from .jets import DEFAULT_ORDER, DimensionError, DomainError, Jet, JetMap, format_jet
 from .maps import (
     MapWord,
-    Params,
     Prototype,
-    build_F,
     family_in_regime,
     map_from_spec,
     planar_word,
-    verify_form_eq1,
     verify_normal_form,
 )
 from .report import SKIP, WARN, Report
@@ -166,8 +163,10 @@ def _check_jets(report: Report, rng: random.Random) -> None:
     report.add("jets.euler_identity", worst <= 1e-10, defect=worst, tolerance=1e-10)
 
 
-def _check_maps(report: Report, params: Params, word: MapWord, rng: random.Random) -> None:
-    form = verify_form_eq1(word.jet(8), params)
+def _check_maps(report: Report, word: MapWord, rng: random.Random) -> None:
+    a, b = word.factors[0].weights
+    jet = word.jet(8)
+    form = verify_normal_form(jet, (a, b), word.factors[0].w_coeff)
     defect = max((c.defect for c in form.checks if c.defect is not None), default=0.0)
     failed = [c.name for c in form.checks if not c.ok]
     report.add("maps.normal_form", form.passed, defect=defect,
@@ -204,11 +203,10 @@ def _check_maps(report: Report, params: Params, word: MapWord, rng: random.Rando
     report.add("maps.fixed_planes", worst <= 1e-15, defect=worst, tolerance=1e-15,
                note="planes z=0 and t=0 are fixed pointwise")
 
-    if params.a == params.b:
-        fj = word.jet(8)
+    if a == b:
         z = Jet.variable(3, 8, 0)
         t = Jet.variable(3, 8, 1)
-        sym_defect = (t * fj.components[0]).max_abs_diff(z * fj.components[1])
+        sym_defect = (t * jet.components[0]).max_abs_diff(z * jet.components[1])
         report.add("maps.symmetry_tF1_zF2", sym_defect <= 1e-12, defect=sym_defect,
                    tolerance=1e-12, note="t*F1 = z*F2 coefficientwise at order 8")
     else:
@@ -221,7 +219,8 @@ def _check_maps(report: Report, params: Params, word: MapWord, rng: random.Rando
                note=orb.note)
 
 
-def _check_directions(report: Report, params: Params, word: MapWord, rng: random.Random) -> None:
+def _check_directions(report: Report, word: MapWord, rng: random.Random) -> None:
+    (a, b), c = word.factors[0].weights, word.factors[0].w_coeff
     lt_f = dirs_mod.leading_term(word.jet(6))
     found_f = dirs_mod.characteristic_directions(lt_f, names=("z", "t", "w"))
     planar = planar_word(word)
@@ -241,8 +240,7 @@ def _check_directions(report: Report, params: Params, word: MapWord, rng: random
             v = tuple(phase * x for x in base.v)
             lam = complex(np.vdot(np.array(v), np.array(lt_g.part(v))))
             worst = max(worst, abs(lam - base.lam * phase ** (lt_g.degree - 1)))
-            moved = dirs_mod.CharacteristicDirection(
-                v=v, lam=lam, degenerate=False, directors=(), residual=0.0)
+            moved = dirs_mod.CharacteristicDirection(v, lam, False, (), 0.0)
             recomputed = dirs_mod.directors(lt_g, moved)
             worst = max(worst, max(abs(a - b) for a, b in zip(recomputed, base.directors)))
     report.add("directions.scaling_covariance", worst <= 1e-8, defect=worst, tolerance=1e-8,
@@ -275,8 +273,8 @@ def _check_directions(report: Report, params: Params, word: MapWord, rng: random
                note=f"{checked} direction(s) compared in two charts")
 
     value = _planar_director(planar)
-    director = f"{'(c-2a)/(2a)' if params.a == params.b else '(c-a-b)/(a+b)'} = {value:g}"
-    if family_in_regime((params.a, params.b), params.c):
+    director = f"{'(c-2a)/(2a)' if a == b else '(c-a-b)/(a+b)'} = {value:g}"
+    if family_in_regime((a, b), c):
         report.add("directions.regime_advisory", True, note=f"chosen regime holds; planar director {director} > 0")
     else:
         report.add("directions.regime_advisory", True, status=WARN,
@@ -292,7 +290,8 @@ def _check_directions(report: Report, params: Params, word: MapWord, rng: random
         )
 
 
-def _check_dynamics(report: Report, params: Params, word: MapWord, rng: random.Random) -> None:
+def _check_dynamics(report: Report, word: MapWord, rng: random.Random) -> None:
+    total = sum(word.factors[0].weights)
     proto = Prototype("quadratic_1d", 1.0)
     statuses = set()
     for p0 in (-0.1, 0.5, 1.5, -1.5, 0.2j):
@@ -308,9 +307,9 @@ def _check_dynamics(report: Report, params: Params, word: MapWord, rng: random.R
     report.add("dynamics.fiber_invariance", ok, defect=defect, tolerance=1e-10,
                note="; ".join(c.note for c in fiber.checks if c.note))
 
-    if params.a + params.b > 0:
+    if total > 0:
         rate = dyn.petal_rate(word, zeta0=0.01, n_steps=10_000)
-        target = 1.0 / (params.a + params.b)
+        target = 1.0 / total
         in_band = abs(rate["n_zeta"] - target) <= 0.15 * target
         shape_ok = rate["real"] and rate["positive"] and rate["strictly_decreasing"]
         report.add("dynamics.petal_rate", in_band and shape_ok,
@@ -356,19 +355,19 @@ def _check_dynamics(report: Report, params: Params, word: MapWord, rng: random.R
                tolerance=rec.tolerance, note=rec.note)
 
 
-def run_verify_suite(params: Params, seed: int = 0) -> Report:
+def run_verify_suite(word: MapWord, seed: int = 0) -> Report:
     """The full canonical verification suite for the three-dimensional word."""
     rng = random.Random(seed)
-    word = build_F(params)
-    report = Report(title=f"verification suite, (a, b, c) = ({params.a:g}, {params.b:g}, {params.c:g}), seed {seed}")
+    (a, b), c = word.factors[0].weights, word.factors[0].w_coeff
+    report = Report(title=f"verification suite, (a, b, c) = ({a:g}, {b:g}, {c:g}), seed {seed}")
     report.notes.append(
         "convention: zeta denotes the product z*t throughout, matching the projection "
         "(z, t, w) -> (z*t, w); readings based on z*w are not equivalent and are not used"
     )
     _check_jets(report, rng)
-    _check_maps(report, params, word, rng)
-    _check_directions(report, params, word, rng)
-    _check_dynamics(report, params, word, rng)
+    _check_maps(report, word, rng)
+    _check_directions(report, word, rng)
+    _check_dynamics(report, word, rng)
 
     order = [c.name for c in report.checks]
     canonical = [n for n in order if n in VERIFY_CHECK_NAMES]
@@ -458,8 +457,7 @@ def cmd_expand(ns) -> int:
 
 
 def cmd_verify(ns) -> int:
-    twist = _build_evaluator(ns, "F3").factors[0]
-    report = run_verify_suite(Params(*twist.weights, twist.w_coeff), seed=ns.seed)
+    report = run_verify_suite(_build_evaluator(ns, "F3"), seed=ns.seed)
     print(report.to_text())
     _write_json(ns, report.to_dict())
     return 0 if report.passed else 1
@@ -579,7 +577,7 @@ def cmd_basin(ns) -> int:
                              u_range=(umin, umax), v_range=(vmin, vmax),
                              width=width, height=height,
                              lift=ns.lift, w_fix=complex(ns.w_fix or 0.0))
-    cfg = dyn.OrbitConfig(ns.max_iter, ns.eps, ns.escape, ns.stride)
+    cfg = dyn.OrbitConfig(ns.max_iter, ns.eps, ns.escape)
     raster = dyn.sample_slice(evaluator, spec, cfg, workers=ns.workers)
     dyn.write_pgm(raster, ns.out)
     sidecar = dyn.raster_sidecar(raster, spec, cfg)
@@ -641,7 +639,6 @@ def _add_orbit_options(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--max-iter", type=int, default=100_000)
     parser.add_argument("--eps", type=float, default=1e-3)
     parser.add_argument("--escape", type=float, default=10.0)
-    parser.add_argument("--stride", type=int, default=1)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -655,6 +652,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = _command(sub, "orbit", cmd_orbit, "map a b c k", "iterate one orbit and dump it as CSV")
     p.add_argument("--start", default="0.1,0.1,0.05", help="comma-separated complex coordinates")
     _add_orbit_options(p)
+    p.add_argument("--stride", type=int, default=1)
     p.add_argument("--out")
 
     p = _command(sub, "basin", cmd_basin, "map a b c k", "rasterize a basin slice to PGM")

@@ -1,12 +1,14 @@
 """Characteristic directions and directors of tangent-to-identity jet maps.
 
 For a self-map germ F = id + P + h.o.t. with leading homogeneous part P of
-degree r, a direction v != 0 is characteristic when P(v) = lambda v; it is
-degenerate when lambda vanishes.  The directors of a non-degenerate
-direction are the eigenvalues of the derivative at [v] of the map induced
-by P on projective space, minus the identity.  In coordinates this is the
-operator (1/lambda) DP(v) - Id acting on the quotient C^k / <v>; the Euler
-relation DP(v) v = r P(v) removes the radial eigenvalue r - 1.
+degree r, a direction v != 0 is characteristic when P(v) = lambda v.  One
+rule, in ``_direction``, which builds every direction record, decides
+degeneracy: |lambda| <= DEGENERATE_TOL is degenerate, reported with
+lambda = 0 and no directors.  The directors of a non-degenerate direction
+are the eigenvalues of the derivative at [v] of the map induced by P on
+projective space, minus the identity.  In coordinates this is the operator
+(1/lambda) DP(v) - Id acting on the quotient C^k / <v>; the Euler relation
+DP(v) v = r P(v) removes the radial eigenvalue r - 1.
 
 Every map built in this package has monomial-diagonal leading part,
 P_i(v) = c_i * v^alpha * v_i with a common exponent alpha, for which the
@@ -207,19 +209,15 @@ def directors(lt: LeadingTerm, d: CharacteristicDirection) -> tuple[complex, ...
     A finite-difference derivative of the induced projective map provides a
     second opinion; disagreement beyond 1e-6 raises ArithmeticError.
     """
-    if d.degenerate:
-        raise DomainError("directors are defined only for non-degenerate directions")
-    k = lt.part.k
-    if k == 1:
-        return ()
     chart = int(np.argmax(np.abs(np.asarray(d.v))))
-    eigs = _sorted_eigs(_quotient_operator(lt, d.v, d.lam, chart))
-    fd = _sorted_eigs(_chart_derivative_fd(lt, d.v, chart) - np.eye(k - 1))
-    worst = max(abs(a - b) for a, b in zip(eigs, fd))
-    if worst > 1e-6:
-        raise ArithmeticError(
-            f"director cross-check failed: chart formula vs finite differences differ by {worst:.3e}"
-        )
+    eigs = directors_in_chart(lt, d, chart)
+    if eigs:
+        fd = _sorted_eigs(_chart_derivative_fd(lt, d.v, chart) - np.eye(lt.part.k - 1))
+        worst = max(abs(a - b) for a, b in zip(eigs, fd))
+        if worst > 1e-6:
+            raise ArithmeticError(
+                f"director cross-check failed: chart formula vs finite differences differ by {worst:.3e}"
+            )
     return eigs
 
 
@@ -241,31 +239,28 @@ def characteristic_set_dimension(dirs: Sequence[CharacteristicDirection]) -> int
 # solvers
 
 
-def _exact_directions(
-    lt: LeadingTerm,
-    alpha: tuple[int, ...],
-    coeffs: list[complex],
-    names: Sequence[str],
-) -> list[CharacteristicDirection]:
+def _direction(lt: LeadingTerm, v: tuple[complex, ...], lam: complex, **family) -> CharacteristicDirection:
+    """The record of [v] with P(v) = lam v; ``family`` holds its family tag and dimension.
+
+    |lam| <= DEGENERATE_TOL makes [v] degenerate: lambda 0, the residual
+    against 0 and no directors.  Any other [v] gets its directors."""
+    degenerate = abs(lam) <= DEGENERATE_TOL
+    if degenerate:
+        lam = 0j
+    d = CharacteristicDirection(v, lam, degenerate, (), _residual(lt.part, v, lam), **family)
+    return d if degenerate else replace(d, directors=directors(lt, d))
+
+
+def _exact_directions(lt: LeadingTerm, alpha: tuple[int, ...], coeffs: list[complex],
+                      names: Sequence[str]) -> list[CharacteristicDirection]:
     k = lt.part.k
     support = [j for j in range(k) if alpha[j] > 0]
     out: list[CharacteristicDirection] = []
 
     if k >= 2:
         for j in support:
-            rep = np.array([0.0 if i == j else 1.0 for i in range(k)], dtype=complex)
-            v = _normalize(rep)
-            out.append(
-                CharacteristicDirection(
-                    v=v,
-                    lam=0j,
-                    degenerate=True,
-                    directors=(),
-                    residual=_residual(lt.part, v, 0j),
-                    family_tag=f"hyperplane {names[j]}=0",
-                    family_dim=k - 2,
-                )
-            )
+            v = _normalize(np.array([0.0 if i == j else 1.0 for i in range(k)], dtype=complex))
+            out.append(_direction(lt, v, 0j, family_tag=f"hyperplane {names[j]}=0", family_dim=k - 2))
 
     scale = max(abs(c) for c in coeffs)
     others = [j for j in range(k) if j not in support]
@@ -277,33 +272,11 @@ def _exact_directions(
             cs = [coeffs[j] for j in s]
             if max(abs(c - cs[0]) for c in cs) > 1e-12 * max(scale, 1.0):
                 continue
-            rep = np.array([1.0 if i in s else 0.0 for i in range(k)], dtype=complex)
-            v = _normalize(rep)
+            v = _normalize(np.array([1.0 if i in s else 0.0 for i in range(k)], dtype=complex))
             vv = np.asarray(v)
             mono = complex(np.prod([vv[j] ** alpha[j] for j in range(k)])) if any(alpha) else 1.0
-            lam = cs[0] * mono
-            deg = abs(lam) <= DEGENERATE_TOL
             tag = None if len(s) == 1 else "torus support={" + ",".join(names[j] for j in s) + "}"
-            d = CharacteristicDirection(
-                v=v,
-                lam=lam,
-                degenerate=deg,
-                directors=(),
-                residual=_residual(lt.part, v, lam),
-                family_tag=tag,
-                family_dim=len(s) - 1,
-            )
-            if not deg:
-                d = CharacteristicDirection(
-                    v=d.v,
-                    lam=d.lam,
-                    degenerate=False,
-                    directors=directors(lt, d),
-                    residual=d.residual,
-                    family_tag=d.family_tag,
-                    family_dim=d.family_dim,
-                )
-            out.append(d)
+            out.append(_direction(lt, v, cs[0] * mono, family_tag=tag, family_dim=len(s) - 1))
     return out
 
 
@@ -337,11 +310,7 @@ def _binary_roots(form: np.ndarray, tol: float) -> list[np.ndarray]:
 
 def _root_direction(lt: LeadingTerm, x: np.ndarray) -> CharacteristicDirection:
     v = _normalize(x)
-    lam = complex(np.vdot(np.asarray(v), _eval_part(lt.part, v)))
-    if abs(lam) <= DEGENERATE_TOL:
-        return CharacteristicDirection(v, 0j, True, (), _residual(lt.part, v, 0j))
-    d = CharacteristicDirection(v, lam, False, (), _residual(lt.part, v, lam))
-    return replace(d, directors=directors(lt, d))
+    return _direction(lt, v, complex(np.vdot(np.asarray(v), _eval_part(lt.part, v))))
 
 
 def _binary_form_directions(lt: LeadingTerm) -> list[CharacteristicDirection]:

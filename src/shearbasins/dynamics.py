@@ -27,6 +27,7 @@ import os
 import random
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable, Protocol, Sequence
 
 import numpy as np
@@ -90,8 +91,12 @@ class Status:
 class Orbit:
     points: list[tuple[complex, ...]]
     indices: list[int]
-    zeta_trace: list[complex] | None
     status: Status
+
+    @cached_property
+    def zeta_trace(self) -> list[complex] | None:
+        """The product z*t of each recorded point of a three-coordinate orbit."""
+        return [p[0] * p[1] for p in self.points] if len(self.points[0]) == 3 else None
 
     @property
     def final_point(self) -> tuple[complex, ...]:
@@ -135,23 +140,16 @@ def iterate(evaluator: Callable, p0: Sequence[complex], cfg: OrbitConfig | None 
     """Iterate the exact map until ``_rule`` decides a step or max_iter runs out.
 
     Every iterate participates in the status decision; only every
-    record_stride-th point (plus the final one) is stored.  For
-    three-coordinate orbits the product z*t is recorded alongside.
+    record_stride-th point (plus the final one) is stored.
     """
     cfg = cfg or OrbitConfig()
     p = tuple(complex(x) for x in p0)
-    dim = len(p)
-    track_zeta = dim == 3
-
     points = [p]
     indices = [0]
-    zeta_trace = [p[0] * p[1]] if track_zeta else None
 
     def record(q: tuple[complex, ...], n: int) -> None:
         points.append(q)
         indices.append(n)
-        if track_zeta:
-            zeta_trace.append(q[0] * q[1])
 
     prev_block_max = math.nan
     cur_block_max = _norm(p)
@@ -188,7 +186,7 @@ def iterate(evaluator: Callable, p0: Sequence[complex], cfg: OrbitConfig | None 
         if indices[-1] != cfg.max_iter:
             record(p, cfg.max_iter)
 
-    return Orbit(points=points, indices=indices, zeta_trace=zeta_trace, status=status)
+    return Orbit(points=points, indices=indices, status=status)
 
 
 def estimate_tangent(orbit: Orbit) -> tuple[tuple[complex, ...], bool]:

@@ -506,13 +506,6 @@ def verify_normal_form(
     return report
 
 
-def verify_form_eq1(jet_map: JetMap, params: Params) -> Report:
-    """Three-dimensional normal-form report (five checks)."""
-    if jet_map.k != 3:
-        raise DimensionError("expected a jet map in three variables")
-    return verify_normal_form(jet_map, (params.a, params.b), params.c)
-
-
 # ----------------------------------------------------------------------
 # map specification (JSON external interface)
 

@@ -37,7 +37,6 @@ from shearbasins.maps import (
     build_F,
     build_family,
     push_forward,
-    verify_form_eq1,
     verify_normal_form,
 )
 from tests.test_maps import ball_point
@@ -74,7 +73,7 @@ def test_criterion_01_normal_form():
         ]
     )
     exact = jet3 == expected
-    report = verify_form_eq1(build_F(P113).jet(8), P113)
+    report = verify_normal_form(build_F(P113).jet(8), (P113.a, P113.b), P113.c)
     crit.finish(exact and report.passed and len(report.checks) == 5,
                 "degree-3 jet exact, five form checks pass")
 

@@ -69,6 +69,27 @@ def test_jet_outputs_keep_their_bytes(tmp_path, capsys):
         assert run(capsys, *argv, "--json-out", str(out_path))[0] == 0
         assert hashlib.sha256(out_path.read_bytes()).hexdigest() == digest, argv
 
+# sha256 of the JSON ``directions`` writes.  Directors and binary-form roots
+# come from numpy's eigvals and roots, so a different LAPACK build may move
+# the last bits of these files.
+DIRECTION_DIGESTS = {
+    ("--map", "F3"): "c2bf3a09eefef0c7add47c388d5b98a241ee13130e4309dab9ade116e5d48b23",
+    ("--map", "G"): "53b7f66c3b5aa5c10f681161b47c8c6d8d25f78f15e68ab07616d3d816f3ce1a",
+    ("--map", "G", "--a", "1", "--b", "2", "--c", "5"):
+        "d7e2bfee623d72a3622420204b54bd70d7ce9963b115ff3f7d18470d5d58467c",
+    ("--map", "FAMILY_K", "--k", "3", "--order", "12"):
+        "90fec3095f5fad2c197bf487f9f9d6b149d0e967be430278d90280c99debfd4a",
+    ("--map", "PROTO_1D"): "934ca66fe35aba6c2b2f3cd2bec870b1bd788e7c279fd12869d25091f61f10b0",
+    ("--map", "PROTO_2D"): "cf4d826fa59aafc084f1dbc47086bf274c7079c03129940749fbec41d8e61470",
+}
+
+
+def test_direction_outputs_keep_their_bytes(tmp_path, capsys):
+    for argv, digest in DIRECTION_DIGESTS.items():
+        out_path = tmp_path / "out.json"
+        assert run(capsys, "directions", *argv, "--json-out", str(out_path))[0] == 0
+        assert hashlib.sha256(out_path.read_bytes()).hexdigest() == digest, argv
+
 
 def test_expand_json_output(tmp_path, capsys):
     out_path = tmp_path / "jet.json"
@@ -418,7 +439,7 @@ def test_extra_weights_are_exit_two(capsys, family):
     ("verify", "map"), ("verify", "k"), ("verify", "order"),
     ("family", "map"), ("family", "c"),
     ("orbit", "order"), ("orbit", "seed"), ("orbit", "json-out"),
-    ("basin", "order"), ("basin", "seed"), ("basin", "json-out"),
+    ("basin", "order"), ("basin", "seed"), ("basin", "json-out"), ("basin", "stride"),
 ])
 def test_options_a_command_does_not_use_are_exit_two(tmp_path, capsys, command, flag):
     """Neither as a flag nor as a config key."""

@@ -340,3 +340,23 @@ def test_non_diagonal_part_in_three_variables_is_unsupported():
     part = JetMap([z * z + t * t, z * t, w * w])
     with pytest.raises(UnsupportedDimensionError):
         characteristic_directions(LeadingTerm(2, part))
+
+
+@pytest.mark.parametrize("part", ["diagonal", "non_diagonal"])
+def test_one_degeneracy_rule_for_both_solvers(part):
+    """|lambda| <= DEGENERATE_TOL reports lambda 0, no directors and the residual
+    against 0, whether the exact torus solver or the binary form finds it."""
+    from shearbasins.directions import LeadingTerm, _residual
+
+    x, y = Jet.variable(2, 2, 0), Jet.variable(2, 2, 1)
+    if part == "diagonal":  # the torus [1:0] has lambda 1e-9
+        components = [1e-9 * x * x, 1e-9 * x * y]
+    else:  # the root [1:0] of x P_2 - y P_1 has lambda 1e-9
+        components = [1e-9 * x * x + y * y, x * y]
+    lt = LeadingTerm(2, JetMap(components))
+    degenerate = [d for d in characteristic_directions(lt) if d.degenerate]
+    assert degenerate
+    for d in degenerate:
+        assert d.lam == 0j
+        assert d.directors == ()
+        assert d.residual == _residual(lt.part, d.v, 0j)

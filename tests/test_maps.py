@@ -35,7 +35,6 @@ from shearbasins.maps import (
     planar_word,
     project_pi,
     push_forward,
-    verify_form_eq1,
     verify_normal_form,
 )
 
@@ -263,7 +262,7 @@ def test_jet_evaluation_matches_exact_word():
 
 
 def test_verify_form_passes_for_built_word():
-    report = verify_form_eq1(build_F(P113).jet(8), P113)
+    report = verify_normal_form(build_F(P113).jet(8), (P113.a, P113.b), P113.c)
     assert report.passed
     assert len(report.checks) == 5
 
@@ -271,7 +270,7 @@ def test_verify_form_passes_for_built_word():
 def test_verify_form_fails_without_twist_factor():
     word = build_F(P113)
     four_factor = MapWord(word.factors[1:])
-    report = verify_form_eq1(four_factor.jet(8), P113)
+    report = verify_normal_form(four_factor.jet(8), (P113.a, P113.b), P113.c)
     ideal_w = report["ideal_Fw"]
     assert not ideal_w.ok
     # a pure zeta^2 monomial without the w factor is the witness
@@ -279,7 +278,7 @@ def test_verify_form_fails_without_twist_factor():
 
 
 def test_verify_form_identity_map_fails_coefficient_checks():
-    report = verify_form_eq1(JetMap.identity(3, 8), P113)
+    report = verify_normal_form(JetMap.identity(3, 8), (P113.a, P113.b), P113.c)
     assert not report["coeff_F1"].ok
     assert not report["coeff_F2"].ok
     assert not report["coeff_Fw"].ok
@@ -297,13 +296,13 @@ def test_verify_form_fails_on_a_nan_coefficient(component, exponent, failing):
     jet = build_F(P113).jet(8)
     comps = list(jet.components)
     comps[component] = Jet(3, 8, {**comps[component].terms, exponent: complex(math.nan)})
-    report = verify_form_eq1(JetMap(comps), P113)
+    report = verify_normal_form(JetMap(comps), (P113.a, P113.b), P113.c)
     assert [c.name for c in report.checks if not c.ok] == failing
 
 
 def test_verify_form_dimension_error():
     with pytest.raises(DimensionError):
-        verify_form_eq1(JetMap.identity(2, 8), P113)
+        verify_normal_form(JetMap.identity(2, 8), (P113.a, P113.b), P113.c)
 
 
 # ----------------------------------------------------------------------

@@ -27,7 +27,6 @@ from .maps import (
 )
 from .directions import (
     CharacteristicDirection,
-    Classification,
     IdentityJetError,
     LeadingTerm,
     UnsupportedDimensionError,

@@ -240,8 +240,7 @@ def _check_directions(report: Report, word: MapWord, rng: random.Random) -> None
             v = tuple(phase * x for x in base.v)
             lam = complex(np.vdot(np.array(v), np.array(lt_g.part(v))))
             worst = max(worst, abs(lam - base.lam * phase ** (lt_g.degree - 1)))
-            moved = dirs_mod.CharacteristicDirection(v, lam, False, (), 0.0)
-            recomputed = dirs_mod.directors(lt_g, moved)
+            recomputed = dirs_mod.direction(lt_g, v, lam).directors
             worst = max(worst, max(abs(a - b) for a, b in zip(recomputed, base.directors)))
     report.add("directions.scaling_covariance", worst <= 1e-8, defect=worst, tolerance=1e-8,
                note="lambda scales by phase^(r-1), directors unchanged")
@@ -471,9 +470,8 @@ def cmd_directions(ns) -> int:
     found = dirs_mod.characteristic_directions(lt, names=names)
     print(f"map {ns.map}: leading degree r = {lt.degree}")
     for d in found:
-        cls = dirs_mod.classify(d)
         rep = ", ".join(f"{x:.6g}" for x in d.v)
-        line = f"  [{rep}]  lambda={d.lam:.6g}  {cls.kind}"
+        line = f"  [{rep}]  lambda={d.lam:.6g}  {dirs_mod.classify(d)}"
         if d.directors:
             line += "  directors=" + ", ".join(f"{x:.6g}" for x in d.directors)
         if d.family_tag:

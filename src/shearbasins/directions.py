@@ -2,7 +2,7 @@
 
 For a self-map germ F = id + P + h.o.t. with leading homogeneous part P of
 degree r, a direction v != 0 is characteristic when P(v) = lambda v.  One
-rule, in ``_direction``, which builds every direction record, decides
+rule, in ``direction``, which builds every direction record, decides
 degeneracy: |lambda| <= DEGENERATE_TOL is degenerate, reported with
 lambda = 0 and no directors.  The directors of a non-degenerate direction
 are the eigenvalues of the derivative at [v] of the map induced by P on
@@ -77,14 +77,8 @@ class CharacteristicDirection:
             "residual": self.residual,
             "family_tag": self.family_tag,
             "family_dim": self.family_dim,
-            "classification": classify(self).kind,
+            "classification": classify(self),
         }
-
-
-@dataclass(frozen=True)
-class Classification:
-    kind: str
-    family_params: int
 
 
 def leading_term(jet_map: JetMap) -> LeadingTerm:
@@ -163,9 +157,9 @@ def _quotient_operator(lt: LeadingTerm, v: Sequence[complex], lam: complex, char
     return m - np.eye(k - 1)
 
 
-def _chart_derivative_fd(lt: LeadingTerm, v: Sequence[complex], chart: int, h: float = 1e-5) -> np.ndarray:
-    """Central finite differences of the induced chart map u -> P_j(x)/P_chart(x)."""
-    k = lt.part.k
+def _chart_derivative_fd(lt: LeadingTerm, v: Sequence[complex], chart: int) -> np.ndarray:
+    """Central finite differences, step 1e-5, of the induced chart map u -> P_j(x)/P_chart(x)."""
+    k, h = lt.part.k, 1e-5
     vv = np.asarray(v, dtype=complex)
     base = vv / vv[chart]
     rows = [i for i in range(k) if i != chart]
@@ -221,13 +215,13 @@ def directors(lt: LeadingTerm, d: CharacteristicDirection) -> tuple[complex, ...
     return eigs
 
 
-def classify(d: CharacteristicDirection) -> Classification:
+def classify(d: CharacteristicDirection) -> str:
     """DEGENERATE, attracting (all director real parts > 0) or other."""
     if d.degenerate:
-        return Classification(DEGENERATE, d.family_dim)
+        return DEGENERATE
     if all(x.real > ATTRACTING_TOL for x in d.directors):
-        return Classification(NON_DEGENERATE_ATTRACTING, d.family_dim)
-    return Classification(NON_DEGENERATE_OTHER, d.family_dim)
+        return NON_DEGENERATE_ATTRACTING
+    return NON_DEGENERATE_OTHER
 
 
 def characteristic_set_dimension(dirs: Sequence[CharacteristicDirection]) -> int:
@@ -239,7 +233,7 @@ def characteristic_set_dimension(dirs: Sequence[CharacteristicDirection]) -> int
 # solvers
 
 
-def _direction(lt: LeadingTerm, v: tuple[complex, ...], lam: complex, **family) -> CharacteristicDirection:
+def direction(lt: LeadingTerm, v: tuple[complex, ...], lam: complex, **family) -> CharacteristicDirection:
     """The record of [v] with P(v) = lam v; ``family`` holds its family tag and dimension.
 
     |lam| <= DEGENERATE_TOL makes [v] degenerate: lambda 0, the residual
@@ -260,7 +254,7 @@ def _exact_directions(lt: LeadingTerm, alpha: tuple[int, ...], coeffs: list[comp
     if k >= 2:
         for j in support:
             v = _normalize(np.array([0.0 if i == j else 1.0 for i in range(k)], dtype=complex))
-            out.append(_direction(lt, v, 0j, family_tag=f"hyperplane {names[j]}=0", family_dim=k - 2))
+            out.append(direction(lt, v, 0j, family_tag=f"hyperplane {names[j]}=0", family_dim=k - 2))
 
     scale = max(abs(c) for c in coeffs)
     others = [j for j in range(k) if j not in support]
@@ -276,7 +270,7 @@ def _exact_directions(lt: LeadingTerm, alpha: tuple[int, ...], coeffs: list[comp
             vv = np.asarray(v)
             mono = complex(np.prod([vv[j] ** alpha[j] for j in range(k)])) if any(alpha) else 1.0
             tag = None if len(s) == 1 else "torus support={" + ",".join(names[j] for j in s) + "}"
-            out.append(_direction(lt, v, cs[0] * mono, family_tag=tag, family_dim=len(s) - 1))
+            out.append(direction(lt, v, cs[0] * mono, family_tag=tag, family_dim=len(s) - 1))
     return out
 
 
@@ -310,7 +304,7 @@ def _binary_roots(form: np.ndarray, tol: float) -> list[np.ndarray]:
 
 def _root_direction(lt: LeadingTerm, x: np.ndarray) -> CharacteristicDirection:
     v = _normalize(x)
-    return _direction(lt, v, complex(np.vdot(np.asarray(v), _eval_part(lt.part, v))))
+    return direction(lt, v, complex(np.vdot(np.asarray(v), _eval_part(lt.part, v))))
 
 
 def _binary_form_directions(lt: LeadingTerm) -> list[CharacteristicDirection]:

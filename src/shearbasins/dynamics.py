@@ -16,7 +16,10 @@ passes.  ``iterate`` calls the rule only on a step that can meet one of
 its tests: a norm outside [eps, radius] (nan included) or a stationary
 step.  The arrays of ``classify_batch`` hold exactly the undecided
 elements: an element leaves them at the step that decides it, so the map
-evaluates one element per pixel-iteration.
+evaluates one element per pixel-iteration.  Both engines take a pixel's
+start point from ``SliceSpec.start_point`` and compute the norm by
+``_norm``'s formula, so the only arithmetic that still separates them is
+numpy's complex product.
 """
 
 from __future__ import annotations
@@ -312,15 +315,10 @@ def check_equivariance(
     return report
 
 
-def check_fiber_invariance(
-    word: MapWord,
-    samples: int = 20,
-    rng=None,
-    cfg: OrbitConfig | None = None,
-) -> Report:
+def check_fiber_invariance(word: MapWord, samples: int = 20, rng=None) -> Report:
     """Status and zeta-trace depend only on (z t, w)."""
     rng = rng or random.Random(0)
-    cfg = cfg or OrbitConfig(max_iter=20_000, eps_converged=0.02, record_stride=10)
+    cfg = OrbitConfig(max_iter=20_000, eps_converged=0.02, record_stride=10)
     report = Report(title="fiber invariance")
 
     worst_trace = 0.0
@@ -354,13 +352,7 @@ def check_fiber_invariance(
     return report
 
 
-def check_projection_statuses(
-    word: MapWord,
-    samples: int = 50,
-    rng=None,
-    cfg: OrbitConfig | None = None,
-    radius: float = 0.08,
-) -> Report:
+def check_projection_statuses(word: MapWord, samples: int = 50, rng=None) -> Report:
     """The orbit status of the zeta-word G matches that of its square-root lift.
 
     Pairs where either orbit stays undecided within the budget are excluded
@@ -368,7 +360,8 @@ def check_projection_statuses(
     the sign structure of the starting product coordinate.
     """
     rng = rng or random.Random(0)
-    cfg = cfg or OrbitConfig(max_iter=20_000, eps_converged=0.02, record_stride=10_000)
+    cfg = OrbitConfig(max_iter=20_000, eps_converged=0.02, record_stride=10_000)
+    radius = 0.08
     report = Report(title="projection statuses")
     planar = planar_word(word)
 
@@ -448,7 +441,6 @@ def check_product_recursion(
     samples: int = 100,
     rng=None,
     steps: int = 100,
-    radius: float = 0.3,
     tol: float = 1e-14,
 ) -> Report:
     """The 2D product prototype sends u = z w to u (1 + u/2)^2 exactly."""
@@ -457,7 +449,7 @@ def check_product_recursion(
     report = Report(title="product recursion")
     worst = 0.0
     for _ in range(samples):
-        p = sample_ball_point(rng, 2, radius)
+        p = sample_ball_point(rng, 2, 0.3)
         for _ in range(steps):
             u = p[0] * p[1]
             q = proto(p)
@@ -469,7 +461,7 @@ def check_product_recursion(
             worst = max(worst, abs(actual - predicted) / scale)
             p = q
     report.add("recursion", worst <= tol, defect=worst, tolerance=tol,
-               note=f"{samples} orbits, {steps} steps, radius {radius}")
+               note=f"{samples} orbits, {steps} steps, radius 0.3")
 
     p = (0.2 + 0j, 0j)
     q = proto(p)
@@ -589,16 +581,15 @@ class SliceSpec:
     def axis_v(self) -> list[float]:
         return _axis_values(self.v_range[0], self.v_range[1], self.height)
 
-    def start_point(self, u: float, v: float) -> tuple[complex, ...]:
+    def start_point(self, u: float | np.ndarray, v: float | np.ndarray) -> tuple:
+        """Pixel (u, v) as a start point: complex for floats, arrays for arrays of one shape."""
         if self.lift == "none":
-            return tuple(
-                b + u * d1 + v * d2 for b, d1, d2 in zip(self.base, self.dir1, self.dir2)
-            )
-        s = cmath.sqrt(complex(u, v))
+            return tuple(b + u * d1 + v * d2 for b, d1, d2 in zip(self.base, self.dir1, self.dir2))
+        s = np.sqrt(u + 1j * v)
         if self.lift == "neg":
             s = -s
         if len(self.base) == 3:
-            return (s, s, self.w_fix)
+            return (s, s, np.full(s.shape, self.w_fix, dtype=complex) if np.ndim(s) else self.w_fix)
         return (s, s)
 
     def to_dict(self) -> dict:
@@ -643,15 +634,28 @@ class BatchMap(Protocol):
     def eval_batch(self, coords: list[np.ndarray]) -> list[np.ndarray]: ...
 
 
-def classify_batch(
-    map_obj: BatchMap, coords: list[np.ndarray], cfg: OrbitConfig
-) -> tuple[np.ndarray, np.ndarray]:
+def _batch_norm(coords: Sequence[np.ndarray]) -> np.ndarray:
+    """``_norm`` of every element of the 1-d complex arrays, bit for bit: the
+    squares of each array's float view, re^2 + im^2 per coordinate, added
+    one coordinate after another from 0."""
+    total = 0.0
+    with np.errstate(over="ignore", invalid="ignore", under="ignore"):
+        for c in coords:
+            sq = np.square(c.view(np.float64))
+            total = total + (sq[0::2] + sq[1::2])
+        return np.sqrt(total)
+
+
+def classify_batch(map_obj: BatchMap, coords: Sequence[np.ndarray],
+                   cfg: OrbitConfig) -> tuple[np.ndarray, np.ndarray]:
     """Vectorized orbit classification through ``_rule``, like iterate().
 
     ``coords`` holds one complex array per coordinate; results are per
     element.  The arrays hold exactly the undecided elements: at each step
     every element gets the code of the first of the rule's tests that hits
     it (255 when none does), and the decided ones leave the arrays at once.
+    The norm is ``_norm``'s formula, bit for bit, through ``_batch_norm``;
+    ``sample_slice`` takes its start points from ``SliceSpec.start_point``.
     Elementwise arithmetic does not depend on array packing, so the outcome
     is independent of how elements are grouped into batches.
     """
@@ -661,8 +665,7 @@ def classify_batch(
     codes = np.full(total, CODE_UNDECIDED, dtype=np.uint8)
     iters = np.full(total, cfg.max_iter, dtype=np.int32)
     orig_idx = np.arange(total)
-    with np.errstate(over="ignore", invalid="ignore", under="ignore"):
-        cur_block = np.sqrt(sum(np.abs(c) ** 2 for c in p))
+    cur_block = _batch_norm(p)
     prev_block = np.full(total, math.nan)
     window_ok = np.zeros(total, dtype=bool)
 
@@ -674,8 +677,7 @@ def classify_batch(
         finite = np.isfinite(q[0])
         for c in q[1:]:
             finite &= np.isfinite(c)
-        with np.errstate(over="ignore", invalid="ignore", under="ignore"):
-            nrm = np.sqrt(sum(np.abs(c) ** 2 for c in q))
+        nrm = _batch_norm(q)
         stationary = p[0] == q[0]
         for a, b in zip(p[1:], q[1:]):
             stationary &= a == b
@@ -701,26 +703,10 @@ def classify_batch(
     return codes.reshape(shape), iters.reshape(shape)
 
 
-def _band_starts(spec: SliceSpec, row_start: int, row_end: int) -> list[np.ndarray]:
-    us = np.array(spec.axis_u())
-    vs = np.array(spec.axis_v()[row_start:row_end])
-    uu, vv = np.meshgrid(us, vs)
-    if spec.lift != "none":
-        s = np.sqrt(uu + 1j * vv)
-        if spec.lift == "neg":
-            s = -s
-        if len(spec.base) == 3:
-            return [s, s.copy(), np.full(s.shape, spec.w_fix, dtype=complex)]
-        return [s, s.copy()]
-    return [
-        b + uu * d1 + vv * d2
-        for b, d1, d2 in zip(spec.base, spec.dir1, spec.dir2)
-    ]
-
-
 def _classify_band(args) -> tuple[int, np.ndarray, np.ndarray]:
     map_obj, spec, cfg, row_start, row_end = args
-    codes, iters = classify_batch(map_obj, _band_starts(spec, row_start, row_end), cfg)
+    starts = spec.start_point(*np.meshgrid(spec.axis_u(), spec.axis_v()[row_start:row_end]))
+    codes, iters = classify_batch(map_obj, starts, cfg)
     return row_start, codes, iters
 
 

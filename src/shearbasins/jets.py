@@ -338,7 +338,7 @@ class JetMap:
         zero = (0,) * self.k
         return all(abs(c.coefficient(zero)) < PRUNE_THRESHOLD for c in self.components)
 
-    def linear_part_is_identity(self, tol: float = 1e-12) -> bool:
+    def linear_part_is_identity(self) -> bool:
         if self.arity_out != self.k or not self.is_origin_preserving():
             return False
         for i, comp in enumerate(self.components):
@@ -346,7 +346,7 @@ class JetMap:
             for j in range(self.k):
                 e = tuple(1 if m == j else 0 for m in range(self.k))
                 want = 1.0 if i == j else 0.0
-                if abs(lin.coefficient(e) - want) > tol:
+                if abs(lin.coefficient(e) - want) > 1e-12:
                     return False
         return True
 

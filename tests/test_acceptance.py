@@ -135,13 +135,13 @@ def test_criterion_04_director_values():
         found = characteristic_directions(lt, names=("zeta", "w"))
         d = next(x for x in found if not x.degenerate and x.family_dim == 0)
         value_ok = abs(d.directors[0] - expected) <= 1e-10
-        attracting = classify(d).kind == NON_DEGENERATE_ATTRACTING
+        attracting = classify(d) == NON_DEGENERATE_ATTRACTING
         results.append(value_ok and attracting)
 
     g = push_forward(build_F(Params(1.0, 1.0, 2.0)).jet(6))
     lt = leading_term(g)
     d = next(x for x in characteristic_directions(lt) if not x.degenerate and x.family_dim == 0)
-    boundary_ok = classify(d).kind == NON_DEGENERATE_OTHER
+    boundary_ok = classify(d) == NON_DEGENERATE_OTHER
     crit.finish(all(results) and boundary_ok,
                 "directors 0.5, 0.25, 1.0 attracting; c = 2a boundary not attracting")
 

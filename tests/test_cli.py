@@ -91,6 +91,29 @@ def test_direction_outputs_keep_their_bytes(tmp_path, capsys):
         assert hashlib.sha256(out_path.read_bytes()).hexdigest() == digest, argv
 
 
+# sha256 of every file these commands write into "out" (a basin raster's
+# sidecar goes to "out.json").  The rasters run the batch orbit engine, so
+# they also pin its start points and norms.
+OUTPUT_DIGESTS = {
+    ("verify", "--seed", "0", "--json-out"):
+        {"out": "c5fdef73dead3ae3d8a6af34effd681203854f86037209b73c2a21c50c822441"},
+    ("basin", "--map", "F3", "--lift", "neg", "--w-fix", "0.05", "--res", "40", "40", "--max-iter", "300",
+     "--out"):
+        {"out": "73391833f23d4be8f6313f92c605e2e9d2114ac4a100086ce1829bfbdb25cea8",
+         "out.json": "31216c59f2bf85ff8b5dbfbce7a0e33a78fc8fca9ed911ccd8d621da53b5981b"},
+    ("basin", "--map", "PROTO_1D", "--res", "60", "60", "--workers", "2", "--out"):
+        {"out": "07628fd0173ec2aa66e6293e0254810e3fab13bea063d6b94188731669658778",
+         "out.json": "974446349a419ec1e4de26079947142240ae4bd067aa5e07700fdebecc3a4da7"},
+}
+
+
+def test_verify_and_basin_outputs_keep_their_bytes(tmp_path, capsys):
+    for argv, digests in OUTPUT_DIGESTS.items():
+        assert run(capsys, *argv, str(tmp_path / "out"))[0] == 0
+        for name, digest in digests.items():
+            assert hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() == digest, (argv, name)
+
+
 def test_expand_json_output(tmp_path, capsys):
     out_path = tmp_path / "jet.json"
     code, _, _ = run(capsys, "expand", "--map", "F3", "--order", "3", "--json-out", str(out_path))

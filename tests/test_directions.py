@@ -136,7 +136,7 @@ def test_directions_one_variable():
     assert d.v == (1.0 + 0j,)
     assert abs(d.lam - 1.0) <= 1e-12
     assert d.directors == ()
-    assert classify(d).kind == NON_DEGENERATE_ATTRACTING
+    assert classify(d) == NON_DEGENERATE_ATTRACTING
 
 
 def test_unsupported_dimension():
@@ -176,7 +176,7 @@ def test_director_zero_at_regime_boundary():
     found = characteristic_directions(lt, names=("x", "y"))
     d = next(d for d in found if not d.degenerate and d.family_dim == 0)
     assert abs(d.directors[0]) <= 1e-12
-    assert classify(d).kind == NON_DEGENERATE_OTHER
+    assert classify(d) == NON_DEGENERATE_OTHER
 
 
 def test_directors_of_the_torus_family():
@@ -185,7 +185,7 @@ def test_directors_of_the_torus_family():
     torus = next(d for d in found if d.family_tag and d.family_tag.startswith("torus"))
     # hand computation gives {0, c/a - 1} = {0, 2}
     assert sorted(x.real for x in torus.directors) == pytest.approx([0.0, 2.0], abs=1e-10)
-    assert classify(torus).kind == NON_DEGENERATE_OTHER
+    assert classify(torus) == NON_DEGENERATE_OTHER
 
 
 def test_directors_reject_degenerate_directions():
@@ -255,7 +255,7 @@ def test_euler_identity_on_found_directions():
 def test_classify_families_of_the_word():
     lt = leading_term(build_F(Params(1, 1, 3)).jet(6))
     found = characteristic_directions(lt, names=("z", "t", "w"))
-    kinds = {d.family_tag: classify(d).kind for d in found}
+    kinds = {d.family_tag: classify(d) for d in found}
     assert kinds["hyperplane z=0"] == DEGENERATE
     assert kinds["hyperplane t=0"] == DEGENERATE
 

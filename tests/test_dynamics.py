@@ -66,12 +66,24 @@ SPECIAL_PARTS = [0.0, -0.0, 5e-324, -2.5e-320, 2.2250738585072014e-308, 1.0, -3.
                  1e154, -9.99e153, 1.34e154, 1.8e154, math.inf, -math.inf, math.nan]
 
 
+SPECIAL_COMPLEX = st.builds(complex, *[st.one_of(st.sampled_from(SPECIAL_PARTS), st.floats())] * 2)
+
+
 @settings(derandomize=True, database=None, deadline=None, max_examples=500)
-@given(st.lists(st.builds(complex, *[st.one_of(st.sampled_from(SPECIAL_PARTS), st.floats())] * 2),
-                min_size=1, max_size=4))
+@given(st.lists(SPECIAL_COMPLEX, min_size=1, max_size=4))
 def test_norm_is_bitwise_the_generator_form(p):
     want = math.sqrt(_plain_sum(x.real * x.real + x.imag * x.imag for x in p))
     assert struct.pack("<d", dynamics._norm(p)) == struct.pack("<d", want)
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=300)
+@given(st.integers(1, 4).flatmap(lambda k: st.lists(st.tuples(*[SPECIAL_COMPLEX] * k), min_size=1, max_size=8)))
+def test_batch_norm_is_bitwise_the_scalar_norm(points):
+    """The batch engine's norm of every element is ``_norm`` of it, bit for bit."""
+    coords = [np.array([p[i] for p in points], dtype=complex) for i in range(len(points[0]))]
+    for p, got in zip(points, dynamics._batch_norm(coords)):
+        want = dynamics._norm(p)
+        assert math.isnan(got) and math.isnan(want) or struct.pack("<d", got) == struct.pack("<d", want), p
 
 
 def test_1d_negative_start_converges():
@@ -378,6 +390,54 @@ def test_lifted_raster_branch_independent():
     assert np.array_equal(plus.codes, minus.codes)
     assert np.array_equal(plus.iterations, minus.iterations)
     assert {CODE_CONVERGED, CODE_ESCAPED} <= set(np.unique(plus.codes))
+
+
+def test_start_point_on_arrays_is_the_per_pixel_formula():
+    """start_point on meshgrid arrays, and on each pixel's floats, gives bit
+    for bit the per-pixel formulas: cmath.sqrt(complex(u, v)) for a lift,
+    b + u*d1 + v*d2 for an affine slice."""
+    kwargs = dict(u_range=(-1.5, 0.5), v_range=(-1.0, 1.0), width=31, height=25)
+    zero3, zero2 = (0j,) * 3, (0j,) * 2
+    slices = [
+        SliceSpec(base=zero3, dir1=zero3, dir2=zero3, lift="pos", w_fix=0.05 + 0j, **kwargs),
+        SliceSpec(base=zero3, dir1=zero3, dir2=zero3, lift="neg", w_fix=0.05 + 0j, **kwargs),
+        SliceSpec(base=zero2, dir1=zero2, dir2=zero2, lift="pos", **kwargs),
+        SliceSpec(base=(0j, 0.05 + 0j), dir1=(1 + 0j, 0j), dir2=(1j, 0j), **kwargs),
+        SliceSpec(base=(0.1 + 0j, 0.2j, 0.05 + 0j), dir1=(1 + 0j, 0.5 - 0.25j, 0j),
+                  dir2=(1j, -0.5j, 0.1 + 0.3j), **kwargs),
+    ]
+
+    def reference(spec, u, v):
+        if spec.lift == "none":
+            return tuple(b + u * d1 + v * d2 for b, d1, d2 in zip(spec.base, spec.dir1, spec.dir2))
+        s = cmath.sqrt(complex(u, v))
+        if spec.lift == "neg":
+            s = -s
+        return (s, s, spec.w_fix) if len(spec.base) == 3 else (s, s)
+
+    def bits(points, i):
+        return np.array([[p[i] for p in row] for row in points], dtype=complex).view(np.uint64)
+
+    for spec in slices:
+        us, vs = spec.axis_u(), spec.axis_v()
+        on_arrays = spec.start_point(*np.meshgrid(us, vs))
+        on_floats = [[spec.start_point(u, v) for u in us] for v in vs]
+        want = [[reference(spec, u, v) for u in us] for v in vs]
+        assert len(on_arrays) == len(spec.base)
+        for i, coord in enumerate(on_arrays):
+            assert np.array_equal(coord.view(np.uint64), bits(want, i)), (spec, i)
+            assert np.array_equal(bits(on_floats, i), bits(want, i)), (spec, i)
+        assert all(isinstance(x, complex) for row in on_floats for p in row for x in p)
+
+    # a -0.0 axis value: complex(u, -0.0) would put the start on the other
+    # side of the branch cut, but floats and arrays share u + 1j*v
+    spec = SliceSpec(base=zero3, dir1=zero3, dir2=zero3, u_range=(-1.0, 0.5), v_range=(-1.0, -0.0),
+                     width=4, height=3, lift="pos")
+    us, vs = spec.axis_u(), spec.axis_v()
+    on_arrays = spec.start_point(*np.meshgrid(us, vs))
+    on_floats = [[spec.start_point(u, v) for u in us] for v in vs]
+    assert math.copysign(1.0, vs[-1]) == -1.0 and on_floats[-1][0][0] == 1j
+    assert all(np.array_equal(coord.view(np.uint64), bits(on_floats, i)) for i, coord in enumerate(on_arrays))
 
 
 def _agree_with_iterate(map_obj, starts, cfg):

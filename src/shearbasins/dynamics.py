@@ -12,14 +12,13 @@ already inside the eps ball, otherwise they stay undecided with a note.
 That rule is written once, in ``_rule``; the scalar engine ``iterate`` and
 the batch engine ``classify_batch`` both decide every step through it.
 Both start the previous block max at nan, so the first window never
-passes.  ``iterate`` calls the rule only on a step that can meet one of
-its tests: a norm outside [eps, radius] (nan included) or a stationary
-step.  The arrays of ``classify_batch`` hold exactly the undecided
-elements: an element leaves them at the step that decides it, so the map
-evaluates one element per pixel-iteration.  Both engines take a pixel's
-start point from ``SliceSpec.start_point`` and compute the norm by
-``_norm``'s formula, so the only arithmetic that still separates them is
-numpy's complex product.
+passes.  Both run the rule only on a step whose norm lies outside [eps,
+radius] (nan included) or that may be stationary: ``iterate`` tests q == p,
+the batch engine the first coordinate's real part and squared norms against
+exact squared bounds, rooting them there and for block maxima when a window
+closes.  Its arrays hold only undecided elements, one map evaluation per
+pixel-iteration.  Both take start points from ``SliceSpec.start_point`` and
+norms from ``_norm``'s formula; only numpy's complex product separates them.
 """
 
 from __future__ import annotations
@@ -29,7 +28,7 @@ import math
 import os
 import random
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from functools import cached_property
 from typing import Callable, Protocol, Sequence
 
@@ -71,12 +70,7 @@ class OrbitConfig:
             raise ValueError("need 0 < eps_converged < escape_radius")
 
     def to_dict(self) -> dict:
-        return {
-            "max_iter": self.max_iter,
-            "eps_converged": self.eps_converged,
-            "escape_radius": self.escape_radius,
-            "record_stride": self.record_stride,
-        }
+        return asdict(self)
 
 
 @dataclass(frozen=True)
@@ -635,15 +629,28 @@ class BatchMap(Protocol):
 
 
 def _batch_norm(coords: Sequence[np.ndarray]) -> np.ndarray:
-    """``_norm`` of every element of the 1-d complex arrays, bit for bit: the
-    squares of each array's float view, re^2 + im^2 per coordinate, added
-    one coordinate after another from 0."""
-    total = 0.0
+    """``_norm`` squared, bit for bit: re^2 + im^2 of each float view, added coordinate by coordinate."""
     with np.errstate(over="ignore", invalid="ignore", under="ignore"):
+        total = None
         for c in coords:
             sq = np.square(c.view(np.float64))
-            total = total + (sq[0::2] + sq[1::2])
-        return np.sqrt(total)
+            total = sq[0::2] + sq[1::2] if total is None else np.add(total, sq[0::2] + sq[1::2], out=total)
+        return total
+
+
+def _squared_bounds(eps: float, radius: float) -> tuple[float, float]:
+    """The least double lo with sqrt(lo) >= eps and the greatest hi with sqrt(hi) <= radius;
+    sqrt is correctly rounded and monotone, so lo <= s <= hi iff eps <= sqrt(s) <= radius."""
+    lo, hi = eps * eps, radius * radius
+    while math.sqrt(lo) >= eps:
+        lo = math.nextafter(lo, 0)
+    while math.sqrt(lo) < eps:
+        lo = math.nextafter(lo, math.inf)
+    while hi < math.inf and math.sqrt(hi) <= radius:
+        hi = math.nextafter(hi, math.inf)
+    while math.sqrt(hi) > radius:
+        hi = math.nextafter(hi, 0)
+    return lo, hi
 
 
 def classify_batch(map_obj: BatchMap, coords: Sequence[np.ndarray],
@@ -651,56 +658,53 @@ def classify_batch(map_obj: BatchMap, coords: Sequence[np.ndarray],
     """Vectorized orbit classification through ``_rule``, like iterate().
 
     ``coords`` holds one complex array per coordinate; results are per
-    element.  The arrays hold exactly the undecided elements: at each step
-    every element gets the code of the first of the rule's tests that hits
-    it (255 when none does), and the decided ones leave the arrays at once.
-    The norm is ``_norm``'s formula, bit for bit, through ``_batch_norm``;
-    ``sample_slice`` takes its start points from ``SliceSpec.start_point``.
-    Elementwise arithmetic does not depend on array packing, so the outcome
-    is independent of how elements are grouped into batches.
+    element.  As in iterate(), a step runs the rule only on the elements it
+    can decide: squared norm s outside ``_squared_bounds`` or the first
+    coordinate's real part unchanged.  Decided elements leave the arrays at
+    once.  sqrt(s) is ``_norm`` bit for bit; block maxima stay squared until
+    a window closes, as sqrt(max s) == max sqrt(s).  How elements are
+    grouped into batches does not change the outcome.
     """
-    total = coords[0].size
-    shape = coords[0].shape
     p = [np.array(c, dtype=complex).ravel() for c in coords]
-    codes = np.full(total, CODE_UNDECIDED, dtype=np.uint8)
-    iters = np.full(total, cfg.max_iter, dtype=np.int32)
-    orig_idx = np.arange(total)
+    codes = np.full(p[0].size, CODE_UNDECIDED, dtype=np.uint8)
+    iters = np.full(p[0].size, cfg.max_iter, dtype=np.int32)
+    orig_idx = np.arange(p[0].size)
     cur_block = _batch_norm(p)
-    prev_block = np.full(total, math.nan)
-    window_ok = np.zeros(total, dtype=bool)
+    prev_block = np.full(p[0].size, math.nan)
+    window_ok = np.zeros(p[0].size, dtype=bool)
+    eps, radius = cfg.eps_converged, cfg.escape_radius
+    lo, hi = _squared_bounds(eps, radius)
 
     for n in range(1, cfg.max_iter + 1):
         if not orig_idx.size:
             break
-        q = map_obj.eval_batch(p)
-        q = [np.asarray(c, dtype=complex) for c in q]
-        finite = np.isfinite(q[0])
-        for c in q[1:]:
-            finite &= np.isfinite(c)
-        nrm = _batch_norm(q)
-        stationary = p[0] == q[0]
-        for a, b in zip(p[1:], q[1:]):
-            stationary &= a == b
+        q = [np.asarray(c, dtype=complex) for c in map_obj.eval_batch(p)]
+        s = _batch_norm(q)
         # the block max of an element decided at this step is never read
-        np.maximum(cur_block, nrm, out=cur_block)
+        np.maximum(cur_block, s, out=cur_block)
         if n % _WINDOW == 0:
-            window_ok = cur_block <= prev_block
+            window_ok = np.sqrt(cur_block, out=cur_block) <= prev_block
             prev_block, cur_block = cur_block, np.zeros(cur_block.shape)
-        # written last to first, so the first test that hits wins
-        step = np.full(orig_idx.size, 255, dtype=np.uint8)
-        for code, _, mask in reversed(_rule(nrm, ~finite, stationary, window_ok,
-                                            cfg.eps_converged, cfg.escape_radius)):
-            step[mask] = code
-        hit = step != 255
-        if hit.any():
-            codes[orig_idx[hit]] = step[hit]
-            iters[orig_idx[hit]] = n
-            keep = ~hit
-            q = [c[keep] for c in q]
-            orig_idx, cur_block, prev_block, window_ok = (
-                orig_idx[keep], cur_block[keep], prev_block[keep], window_ok[keep])
-        p = q
-    return codes.reshape(shape), iters.reshape(shape)
+        keep = (s >= lo) & (s <= hi) & (p[0].real != q[0].real)  # the rule decides none of these
+        if not keep.all():
+            idx = np.flatnonzero(~keep)
+            finite = np.logical_and.reduce([np.isfinite(c[idx]) for c in q])
+            stationary = np.logical_and.reduce([a[idx] == b[idx] for a, b in zip(p, q)])
+            # written last to first, so the first test that hits wins
+            step = np.full(idx.size, 255, dtype=np.uint8)
+            for code, _, mask in reversed(_rule(np.sqrt(s[idx]), ~finite, stationary, window_ok[idx], eps, radius)):
+                step[mask] = code
+            hit = step != 255
+            if hit.any():
+                dec = idx[hit]
+                codes[orig_idx[dec]] = step[hit]
+                iters[orig_idx[dec]] = n
+                keep[idx] = ~hit
+                q = [c[keep] for c in q]
+                orig_idx, cur_block, prev_block, window_ok = (
+                    orig_idx[keep], cur_block[keep], prev_block[keep], window_ok[keep])
+        p, s, keep = q, None, None  # no full-size array of this step lives on into the next eval_batch
+    return codes.reshape(coords[0].shape), iters.reshape(coords[0].shape)
 
 
 def _classify_band(args) -> tuple[int, np.ndarray, np.ndarray]:
@@ -737,11 +741,7 @@ def sample_slice(
     else:
         n_bands = min(spec.height, max(workers, min(4 * workers, spec.height * spec.width // 4096)))
         edges = [round(i * spec.height / n_bands) for i in range(n_bands + 1)]
-        bands = [
-            (map_obj, spec, cfg, lo, hi)
-            for lo, hi in zip(edges, edges[1:])
-            if hi > lo
-        ]
+        bands = [(map_obj, spec, cfg, lo, hi) for lo, hi in zip(edges, edges[1:])]
         pool = ProcessPoolExecutor(max_workers=workers)
         try:
             results = list(pool.map(_classify_band, bands))

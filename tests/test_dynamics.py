@@ -79,11 +79,45 @@ def test_norm_is_bitwise_the_generator_form(p):
 @settings(derandomize=True, database=None, deadline=None, max_examples=300)
 @given(st.integers(1, 4).flatmap(lambda k: st.lists(st.tuples(*[SPECIAL_COMPLEX] * k), min_size=1, max_size=8)))
 def test_batch_norm_is_bitwise_the_scalar_norm(points):
-    """The batch engine's norm of every element is ``_norm`` of it, bit for bit."""
+    """The square root of the batch engine's squared norm of every element is
+    ``_norm`` of it, bit for bit."""
     coords = [np.array([p[i] for p in points], dtype=complex) for i in range(len(points[0]))]
-    for p, got in zip(points, dynamics._batch_norm(coords)):
+    for p, got in zip(points, np.sqrt(dynamics._batch_norm(coords))):
         want = dynamics._norm(p)
         assert math.isnan(got) and math.isnan(want) or struct.pack("<d", got) == struct.pack("<d", want), p
+
+
+def _assert_exact_bounds(eps, radius):
+    """lo and hi decide eps <= sqrt(s) <= radius at themselves and one ulp either side."""
+    lo, hi = dynamics._squared_bounds(eps, radius)
+    for s in (lo, hi, *(math.nextafter(x, toward) for x in (lo, hi) for toward in (0.0, math.inf))):
+        assert (s >= lo) == (math.sqrt(s) >= eps), (eps, s)
+        assert (s <= hi) == (math.sqrt(s) <= radius), (radius, s)
+
+
+@pytest.mark.parametrize("eps, radius", [
+    (0.02, 10.0),
+    (1e-3, 10.0),
+    (1e-310, 10.0),  # subnormal
+    (5e-324, 1.0),  # the least subnormal
+    (1e-170, 10.0),  # eps * eps underflows to 0
+    (1e-160, 10.0),  # eps * eps is subnormal
+    (1e-3, 1.5e154),  # radius * radius overflows
+    (1e-3, 1.7976931348623157e308),
+    (1e-3, math.inf),
+])
+def test_squared_bounds_are_exact(eps, radius):
+    _assert_exact_bounds(eps, radius)
+
+
+POSITIVE = st.floats(min_value=0.0, exclude_min=True, allow_infinity=False)
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=500)
+@given(POSITIVE, POSITIVE)
+def test_squared_bounds_are_exact_for_any_eps_below_radius(x, y):
+    if x != y:
+        _assert_exact_bounds(min(x, y), max(x, y))
 
 
 def test_1d_negative_start_converges():
@@ -523,6 +557,79 @@ def test_classify_batch_matches_iterate_on_the_benchmark_slice():
     starts = [spec.start_point(u, v) for v in spec.axis_v() for u in spec.axis_u()]
     statuses = _agree_with_iterate(build_F(P113), starts, cfg)
     assert {s.kind for s in statuses} == {ESCAPED, UNDECIDED}
+
+
+def test_classify_batch_matches_iterate_on_the_quadratic_benchmark_slice():
+    """A 16x16 grid of the benchmark's PROTO_1D slice, decided by the same
+    rule in both engines."""
+    spec = SliceSpec(base=(0j,), dir1=(1 + 0j,), dir2=(1j,), u_range=(-1.5, 0.5),
+                     v_range=(-1.0, 1.0), width=16, height=16)
+    cfg = OrbitConfig(max_iter=1000, eps_converged=1e-3, record_stride=1000)
+    starts = [spec.start_point(u, v) for v in spec.axis_v() for u in spec.axis_u()]
+    statuses = _agree_with_iterate(QUAD, starts, cfg)
+    assert {s.kind for s in statuses} == {ESCAPED, CONVERGED, UNDECIDED}
+
+
+class _Constant:
+    """Sends every point to one vector, in both engines."""
+
+    def __init__(self, target):
+        self.target = target
+
+    def __call__(self, p):
+        return self.target
+
+    def eval_batch(self, coords):
+        return [np.full(coords[0].shape, x) for x in self.target]
+
+
+def test_classify_batch_decides_norms_at_the_thresholds_like_iterate():
+    """Orbits whose norm is eps or radius, or one ulp from them, get the same
+    code and decision index in both engines, whether or not a step leaves
+    the first coordinate unchanged."""
+    eps, radius = 1e-3, 10.0
+    cfg = OrbitConfig(max_iter=300, eps_converged=eps, escape_radius=radius, record_stride=1000)
+    norms = (math.nextafter(eps, 0.0), eps, math.nextafter(eps, math.inf), radius,
+             math.nextafter(radius, math.inf))
+    kinds = []
+    for norm in norms:
+        target = (0j, complex(norm))
+        assert dynamics._norm(target) == norm
+        starts = [target, (0j, 0.5 + 0j), (0.3 + 0j, 0.1j), (1e-4 + 0j, 0j)]
+        kinds.append([(s.kind, s.index) for s in _agree_with_iterate(_Constant(target), starts, cfg)])
+    assert kinds == [
+        [(CONVERGED, 1)] + [(CONVERGED, 2)] * 3,
+        [(UNDECIDED, 1)] + [(UNDECIDED, 2)] * 3,
+        [(UNDECIDED, 1)] + [(UNDECIDED, 2)] * 3,
+        [(UNDECIDED, 1)] + [(UNDECIDED, 2)] * 3,
+        [(ESCAPED, 1)] * 4,
+    ]
+
+
+class _Switch:
+    """(t, z) -> (t + 1e-200, A before t passes 1.5e-198, else B): z jumps
+    from A to B near step 150, and t, whose square underflows to 0, adds
+    nothing to the norm."""
+
+    A, B = 1e-4 + 0j, complex(1e-4, 1e-12)
+
+    def __call__(self, p):
+        return (p[0] + 1e-200, self.A if p[0].real < 1.5e-198 else self.B)
+
+    def eval_batch(self, coords):
+        return [coords[0] + 1e-200, np.where(coords[0].real < 1.5e-198, self.A, self.B)]
+
+
+def test_block_maxima_are_compared_as_norms():
+    """B's squared norm exceeds A's but both norms are the same double, so
+    the second window's max norm has not increased and the orbit, inside
+    the eps ball all along, converges when that window closes."""
+    start = (0j, _Switch.A)
+    squared = dynamics._batch_norm([np.array([0j, 0j]), np.array([_Switch.A, _Switch.B])])
+    assert squared[1] > squared[0]
+    assert dynamics._norm((0j, _Switch.B)) == dynamics._norm(start)
+    statuses = _agree_with_iterate(_Switch(), [start], OrbitConfig(max_iter=1000, record_stride=1000))
+    assert [(s.kind, s.index) for s in statuses] == [(CONVERGED, 200)]
 
 
 def test_classify_batch_evaluates_only_undecided_elements():

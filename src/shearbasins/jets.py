@@ -9,6 +9,11 @@ is kept).  Term iteration, evaluation and serialization use graded
 lexicographic order, which keeps every derived output bit-stable across
 runs.
 
+Terms are validated where they enter: ``Jet(k, order, terms)``, which
+``constant``, ``variable``, ``monomial`` and ``from_dict`` call, checks each
+exponent's length, signs and degree and makes each coefficient a ``complex``.
+Results of jet arithmetic are only pruned.
+
 A product multiplies only the nonzero terms: each output coefficient is
 the sum, from 0j, of Python complex products ``a * b`` taken with the
 left factor's terms in graded lexicographic order.  No numpy arithmetic
@@ -22,7 +27,7 @@ from __future__ import annotations
 
 from numbers import Number
 from operator import add
-from typing import Iterator, Mapping, Sequence
+from typing import Mapping, Sequence
 
 PRUNE_THRESHOLD = 1e-14
 DEFAULT_ORDER = 8
@@ -45,17 +50,13 @@ def grlex_key(exponents: tuple[int, ...]) -> tuple[int, tuple[int, ...]]:
     return (sum(exponents), exponents)
 
 
-def _validate_exponents(e: tuple[int, ...], k: int, order: int) -> None:
-    if len(e) != k:
-        raise DimensionError(f"exponent vector {e} has length {len(e)}, expected {k}")
-    if any(x < 0 for x in e):
-        raise ValueError(f"negative exponent in {e}")
-    if sum(e) > order:
-        raise OrderRangeError(f"monomial {e} has degree {sum(e)} > order {order}")
-
-
 class Jet:
-    """One truncated power series.  Treat instances as immutable values."""
+    """One truncated power series.  Treat instances as immutable values.
+
+    ``Jet(k, order, terms)`` validates every term.  Arithmetic builds its
+    results with :meth:`_of` from terms valid by construction (int exponents
+    of length k and degree <= order, complex values), and only prunes them.
+    """
 
     __slots__ = ("k", "order", "terms")
 
@@ -64,17 +65,25 @@ class Jet:
             raise DimensionError("need at least one variable")
         if order < 0:
             raise OrderRangeError("truncation order must be >= 0")
-        self.k = int(k)
-        self.order = int(order)
-        pruned: dict[tuple[int, ...], complex] = {}
-        if terms:
-            for e, c in terms.items():
-                e = tuple(int(x) for x in e)
-                _validate_exponents(e, self.k, self.order)
-                c = complex(c)
-                if not abs(c) < PRUNE_THRESHOLD:  # nan is kept
-                    pruned[e] = c
-        self.terms = pruned
+        k, order = int(k), int(order)
+        clean: dict[tuple[int, ...], complex] = {}
+        for e, c in (terms or {}).items():
+            e = tuple(int(x) for x in e)
+            if len(e) != k:
+                raise DimensionError(f"exponent vector {e} has length {len(e)}, expected {k}")
+            if any(x < 0 for x in e):
+                raise ValueError(f"negative exponent in {e}")
+            if sum(e) > order:
+                raise OrderRangeError(f"monomial {e} has degree {sum(e)} > order {order}")
+            clean[e] = complex(c)
+        self.k, self.order, self.terms = k, order, Jet._of(k, order, clean).terms
+
+    @classmethod
+    def _of(cls, k: int, order: int, terms: dict[tuple[int, ...], complex]) -> "Jet":
+        jet = cls.__new__(cls)
+        jet.k, jet.order = k, order
+        jet.terms = {e: c for e, c in terms.items() if not abs(c) < PRUNE_THRESHOLD}  # nan is kept
+        return jet
 
     # ------------------------------------------------------------------
     # constructors
@@ -94,7 +103,8 @@ class Jet:
         """Single monomial; degrees above the order truncate to the zero jet."""
         e = tuple(int(x) for x in exponents)
         if sum(e) > order:
-            return cls(k, order, {})
+            cls(k, sum(e), {e: 0j})  # checks the length and signs of e
+            return cls(k, order)
         return cls(k, order, {e: complex(coeff)})
 
     # ------------------------------------------------------------------
@@ -111,9 +121,6 @@ class Jet:
 
     def l1_norm(self) -> float:
         return sum(abs(c) for c in self.terms.values())
-
-    def __iter__(self) -> Iterator[tuple[tuple[int, ...], complex]]:
-        return iter(self.sorted_terms())
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Jet):
@@ -151,13 +158,12 @@ class Jet:
         merged = dict(self.terms)
         for e, c in other.terms.items():
             merged[e] = merged.get(e, 0j) + c
-        return Jet(self.k, self.order, merged)
+        return Jet._of(self.k, self.order, merged)
 
-    def __radd__(self, other: complex) -> "Jet":
-        return self.__add__(other)
+    __radd__ = __add__
 
     def __neg__(self) -> "Jet":
-        return Jet(self.k, self.order, {e: -c for e, c in self.terms.items()})
+        return Jet._of(self.k, self.order, {e: -c for e, c in self.terms.items()})
 
     def __sub__(self, other: "Jet | complex") -> "Jet":
         return self.__add__(-other if isinstance(other, Jet) else -complex(other))
@@ -168,7 +174,7 @@ class Jet:
     def __mul__(self, other: "Jet | complex") -> "Jet":
         if isinstance(other, Number):
             other = complex(other)
-            return Jet(self.k, self.order, {e: c * other for e, c in self.terms.items()})
+            return Jet._of(self.k, self.order, {e: c * other for e, c in self.terms.items()})
         if not isinstance(other, Jet):
             return NotImplemented
         self._check_compatible(other)
@@ -181,7 +187,7 @@ class Jet:
                     break
                 e = tuple(map(add, ea, eb))
                 acc[e] = acc.get(e, 0j) + ca * cb
-        return Jet(self.k, self.order, acc)
+        return Jet._of(self.k, self.order, acc)
 
     def __rmul__(self, other: complex) -> "Jet":
         return self.__mul__(other)
@@ -195,10 +201,9 @@ class Jet:
         Requires a vanishing constant term; only then is the finite sum the
         actual truncation of exp.
         """
-        if abs(self.coefficient((0,) * self.k)) >= PRUNE_THRESHOLD:
+        if not abs(self.coefficient((0,) * self.k)) < PRUNE_THRESHOLD:  # nan too
             raise DomainError("jet exponential needs a zero constant term")
-        result = Jet.constant(self.k, self.order, 1.0)
-        term = Jet.constant(self.k, self.order, 1.0)
+        result = term = Jet.constant(self.k, self.order, 1.0)
         for m in range(1, self.order + 1):
             term = term * self / m
             if term.is_zero():
@@ -216,17 +221,15 @@ class Jet:
         new_order = max(self.order - 1, 0)
         terms: dict[tuple[int, ...], complex] = {}
         for e, c in self.terms.items():
-            if e[index] == 0:
-                continue
-            shifted = tuple(x - 1 if i == index else x for i, x in enumerate(e))
-            if sum(shifted) <= new_order:
+            if e[index]:  # then sum(shifted) = sum(e) - 1 <= new_order
+                shifted = tuple(x - 1 if i == index else x for i, x in enumerate(e))
                 terms[shifted] = terms.get(shifted, 0j) + c * e[index]
-        return Jet(self.k, new_order, terms)
+        return Jet._of(self.k, new_order, terms)
 
     def homogeneous_part(self, degree: int) -> "Jet":
         if not 0 <= degree <= self.order:
             raise OrderRangeError(f"degree {degree} outside [0, {self.order}]")
-        return Jet(self.k, self.order, {e: c for e, c in self.terms.items() if sum(e) == degree})
+        return Jet._of(self.k, self.order, {e: c for e, c in self.terms.items() if sum(e) == degree})
 
     def __call__(self, point: Sequence[complex]) -> complex:
         if len(point) != self.k:
@@ -298,9 +301,8 @@ class JetMap:
         if not comps:
             raise DimensionError("a jet map needs at least one component")
         k, order = comps[0].k, comps[0].order
-        for c in comps[1:]:
-            if c.k != k or c.order != order:
-                raise DimensionError("all components must share variables and order")
+        if any(c.k != k or c.order != order for c in comps[1:]):
+            raise DimensionError("all components must share variables and order")
         self.components = comps
 
     @property
@@ -342,11 +344,10 @@ class JetMap:
         if self.arity_out != self.k or not self.is_origin_preserving():
             return False
         for i, comp in enumerate(self.components):
-            lin = comp.homogeneous_part(1) if self.order >= 1 else comp
             for j in range(self.k):
                 e = tuple(1 if m == j else 0 for m in range(self.k))
                 want = 1.0 if i == j else 0.0
-                if abs(lin.coefficient(e) - want) > 1e-12:
+                if abs(comp.coefficient(e) - want) > 1e-12:
                     return False
         return True
 
@@ -392,8 +393,7 @@ class JetMap:
     def minus_identity(self) -> "JetMap":
         if self.arity_out != self.k:
             raise DimensionError("minus_identity needs a self-map")
-        ident = JetMap.identity(self.k, self.order)
-        return JetMap([a - b for a, b in zip(self.components, ident.components)])
+        return JetMap([c - Jet.variable(self.k, self.order, i) for i, c in enumerate(self.components)])
 
     def jacobian(self) -> list[list[Jet]]:
         """Matrix of partial derivatives; entry (i, j) is d component_i / d x_j."""

@@ -8,6 +8,7 @@ is exact in double precision and ring identities hold bitwise.
 """
 
 import cmath
+import itertools
 import json
 import math
 import random
@@ -30,6 +31,7 @@ from shearbasins.jets import (
     format_jet,
     grlex_key,
 )
+from shearbasins.maps import build_family
 
 
 def dyadic_jet(rng, k, order, n_terms=6):
@@ -78,6 +80,14 @@ def test_nan_coefficient_is_kept():
 
 def test_monomial_truncates_out_of_range():
     assert Jet.monomial(3, 2, (1, 1, 1)).is_zero()
+
+
+@pytest.mark.parametrize(
+    "exponents, error", [((5, 0, 0), DimensionError), ((-1, 9), ValueError), ((1, 2, 3), DimensionError)]
+)
+def test_monomial_validates_exponents_beyond_the_order(exponents, error):
+    with pytest.raises(error):
+        Jet.monomial(2, 3, exponents)
 
 
 def test_grlex_iteration_order():
@@ -246,6 +256,74 @@ def test_product_overflow_raises_no_runtime_warning():
 
 
 # ----------------------------------------------------------------------
+# results of arithmetic: built from valid terms, only pruned
+
+NEAR_THRESHOLD = [
+    s * m * x
+    for s in (1.0, -1.0)
+    for m in (0.5, 1.0, 1.5, 2.0)
+    for x in (math.nextafter(PRUNE_THRESHOLD, 0.0), PRUNE_THRESHOLD, math.nextafter(PRUNE_THRESHOLD, 1.0))
+]
+SPECIAL_PARTS = st.one_of(
+    st.sampled_from(NEAR_THRESHOLD + [0.0, -0.0, math.nan, math.inf, -math.inf]),
+    st.floats(-4, 4),
+)
+
+
+@st.composite
+def same_space_jets(draw):
+    """Two jets of one space; coefficient parts near the threshold, signed zeros, nan, inf."""
+    k, order = draw(st.integers(1, 3)), draw(st.integers(0, 6))
+    exponent = st.tuples(*[st.integers(0, order)] * k).filter(lambda e: sum(e) <= order)
+
+    def jet():
+        keys = draw(st.lists(exponent, max_size=8))
+        return Jet(k, order, {e: complex(draw(SPECIAL_PARTS), draw(SPECIAL_PARTS)) for e in keys})
+
+    return jet(), jet()
+
+
+def assert_valid_result(r):
+    """Terms the public constructor would keep unchanged: same keys, same bits."""
+    assert bits(Jet(r.k, r.order, r.terms).terms) == bits(r.terms)
+    for e, c in r.terms.items():
+        assert type(e) is tuple and len(e) == r.k and sum(e) <= r.order
+        assert all(type(x) is int and x >= 0 for x in e)
+        assert type(c) is complex
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=300)
+@given(same_space_jets())
+def test_arithmetic_results_keep_the_constructor_invariants(pair):
+    f, g = pair
+    results = [f + g, f - g, -f, f * g, f * 0, f * math.nan, f * 0.75, 1.5 * f, f / -0.25]
+    results.append(Jet(f.k, f.order, {e: c for e, c in f.terms.items() if sum(e)}).exp())
+    results += [f.derivative(i) for i in range(f.k)]
+    results += [f.homogeneous_part(d) for d in range(f.order + 1)]
+    for r in results:
+        assert_valid_result(r)
+
+
+def test_arithmetic_makes_no_public_constructor_calls(monkeypatch):
+    rng = random.Random(16)
+    exponents = [e for e in itertools.product(range(9), repeat=3) if sum(e) <= 8]
+    f, g = (Jet(3, 8, {e: complex(rng.randint(1, 32) / 16, 0.5) for e in rng.sample(exponents, 30)}) for _ in range(2))
+    assert len(f.terms) == len(g.terms) == 30
+    calls = []
+    init = Jet.__init__
+
+    def counting_init(self, *args, **kwargs):
+        calls.append(args)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(Jet, "__init__", counting_init)
+    _ = (f + g, f - g, f * g, -f, f.derivative(0), f.homogeneous_part(2))
+    assert calls == []
+    jet = build_family(4, (1.0,) * 4, 5.0).jet(10)
+    assert len(calls) < sum(len(c.terms) for c in jet.components)
+
+
+# ----------------------------------------------------------------------
 # exponential
 
 
@@ -267,6 +345,8 @@ def test_exp_group_law_exact_after_pruning():
 def test_exp_rejects_constant_term():
     with pytest.raises(DomainError):
         Jet.constant(2, 4, 0.5).exp()
+    with pytest.raises(DomainError):
+        Jet(1, 3, {(0,): math.nan, (1,): 1.0}).exp()
 
 
 def test_exp_evaluation_oracle():

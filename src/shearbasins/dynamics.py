@@ -714,6 +714,24 @@ def _classify_band(args) -> tuple[int, np.ndarray, np.ndarray]:
     return row_start, codes, iters
 
 
+def _computed_rows(map_obj: BatchMap, spec: SliceSpec) -> int:
+    """ceil(height / 2) if row height-1-i starts at the conjugates of row i's start
+    points and the map is a package map with int or float parameters, else height."""
+    if type(map_obj) is MapWord:
+        params = [x for f in map_obj.factors for x in (*f.weights, f.w_coeff)]
+    elif type(map_obj) is Prototype:
+        params = [map_obj.a]
+    else:
+        return spec.height
+    # a symmetric v_range samples exactly negated values of v; the other terms must be real
+    if spec.lift == "none":
+        conjugate = all(x.imag == 0 for x in (*spec.base, *spec.dir1)) and all(x.real == 0 for x in spec.dir2)
+    else:
+        conjugate = spec.w_fix.imag == 0
+    mirrored = conjugate and spec.v_range[0] == -spec.v_range[1] and all(isinstance(x, (int, float)) for x in params)
+    return (spec.height + 1) // 2 if mirrored else spec.height
+
+
 def sample_slice(
     map_obj: BatchMap,
     spec: SliceSpec,
@@ -726,21 +744,34 @@ def sample_slice(
     Rows are processed in bands; every operation inside a band is
     elementwise per pixel, so the output does not depend on the banding
     and is identical for any worker count.  At most one worker per usable
-    CPU is started.  One worker takes the whole slice as one band; w > 1
-    workers share min(height, max(w, min(4w, pixels // 4096))) bands, so
-    a small slice pays numpy's per-step overhead w times, not 4w times.
+    CPU is started.  One worker takes the computed rows as one band; w > 1
+    workers share min(rows, max(w, min(4w, rows * width // 4096))) bands
+    of them, so a small slice pays numpy's per-step overhead w times, not
+    4w times.
+
+    On a conjugation-symmetric slice (``_computed_rows``) only rows
+    [0, ceil(height / 2)) are classified, an odd height's middle row v = 0
+    among them, and row height-1-i copies row i.  The copy is the full
+    computation bit for bit: each operation of the batch step (complex
+    product, real times complex, np.exp) commutes with conjugation in IEEE
+    arithmetic, so the conjugate start has the conjugate orbit up to the
+    signs of exact zeros, and the rule reads only squared moduli,
+    finiteness and real parts (tests/test_conjugation.py checks the
+    premise).  Arrays added to ``BasinRaster`` later, such as decision
+    reasons or certified marks, must be mirrored too.
     """
     cfg = cfg or OrbitConfig()
     codes = np.zeros((spec.height, spec.width), dtype=np.uint8)
     iters = np.zeros((spec.height, spec.width), dtype=np.int32)
+    rows = _computed_rows(map_obj, spec)
     usable = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
     workers = min(workers, usable)
     if workers <= 1:
-        bands = [(map_obj, spec, cfg, 0, spec.height)]
+        bands = [(map_obj, spec, cfg, 0, rows)]
         results = map(_classify_band, bands)
     else:
-        n_bands = min(spec.height, max(workers, min(4 * workers, spec.height * spec.width // 4096)))
-        edges = [round(i * spec.height / n_bands) for i in range(n_bands + 1)]
+        n_bands = min(rows, max(workers, min(4 * workers, rows * spec.width // 4096)))
+        edges = [round(i * rows / n_bands) for i in range(n_bands + 1)]
         bands = [(map_obj, spec, cfg, lo, hi) for lo, hi in zip(edges, edges[1:])]
         pool = ProcessPoolExecutor(max_workers=workers)
         try:
@@ -750,6 +781,8 @@ def sample_slice(
     for row_start, band_codes, band_iters in results:
         codes[row_start : row_start + band_codes.shape[0], :] = band_codes
         iters[row_start : row_start + band_iters.shape[0], :] = band_iters
+    codes[rows:] = codes[: spec.height - rows][::-1]
+    iters[rows:] = iters[: spec.height - rows][::-1]
     return BasinRaster(codes=codes, iterations=iters)
 
 

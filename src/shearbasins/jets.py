@@ -3,16 +3,14 @@
 A :class:`Jet` holds the monomials of total degree <= ``order`` of a
 holomorphic germ at the origin, keyed by exponent tuples.  Products and
 compositions discard everything above the truncation order, and any
-coefficient whose modulus falls below :data:`PRUNE_THRESHOLD` is dropped,
-so an absent monomial always means a zero coefficient (a nan coefficient
-is kept).  Term iteration, evaluation and serialization use graded
-lexicographic order, which keeps every derived output bit-stable across
-runs.
+coefficient whose modulus falls below :data:`PRUNE_THRESHOLD` is dropped, so
+an absent monomial always means a zero coefficient (a nan coefficient is
+kept).  Term iteration, evaluation and serialization use graded lexicographic
+order, which keeps every derived output bit-stable across runs.
 
 Terms are validated where they enter: ``Jet(k, order, terms)``, which
 ``constant``, ``variable``, ``monomial`` and ``from_dict`` call, checks each
 exponent's length, signs and degree and makes each coefficient a ``complex``.
-Results of jet arithmetic are only pruned.
 
 A product multiplies only the nonzero terms: each output coefficient is
 the sum, from 0j, of Python complex products ``a * b`` taken with the
@@ -82,7 +80,10 @@ class Jet:
     def _of(cls, k: int, order: int, terms: dict[tuple[int, ...], complex]) -> "Jet":
         jet = cls.__new__(cls)
         jet.k, jet.order = k, order
-        jet.terms = {e: c for e, c in terms.items() if not abs(c) < PRUNE_THRESHOLD}  # nan is kept
+        try:
+            jet.terms = {e: c for e, c in terms.items() if not abs(c) < PRUNE_THRESHOLD}  # nan is kept
+        except OverflowError:
+            raise DomainError("a jet coefficient's modulus overflows the float range") from None
         return jet
 
     # ------------------------------------------------------------------
@@ -189,8 +190,7 @@ class Jet:
                 acc[e] = acc.get(e, 0j) + ca * cb
         return Jet._of(self.k, self.order, acc)
 
-    def __rmul__(self, other: complex) -> "Jet":
-        return self.__mul__(other)
+    __rmul__ = __mul__
 
     def __truediv__(self, scalar: complex) -> "Jet":
         return self.__mul__(1.0 / complex(scalar))

@@ -38,10 +38,13 @@ from .jets import DimensionError, DomainError, Jet, JetMap
 from .report import Report
 
 def _cexp(x: complex) -> complex:
+    """cmath.exp, or C's cexp value where it raises; like cmath.exp and np.exp, commutes with conjugation."""
     try:
         return cmath.exp(x)
-    except (OverflowError, ValueError):
-        return complex(math.inf, math.inf)
+    except OverflowError:
+        return complex(math.inf * math.cos(x.imag), math.inf * math.sin(x.imag) if x.imag else x.imag)
+    except ValueError:  # an infinite imaginary part
+        return complex(math.inf if x.real == math.inf else math.nan, math.nan)
 
 
 class SemiConjugacyError(ValueError):
@@ -78,14 +81,8 @@ class ElementaryKind(Enum):
     TWIST_INV = "twist_inv"
 
 
-_INVERSE_KIND = {
-    ElementaryKind.SHEAR: ElementaryKind.SHEAR_INV,
-    ElementaryKind.SHEAR_INV: ElementaryKind.SHEAR,
-    ElementaryKind.OVERSHEAR: ElementaryKind.OVERSHEAR_INV,
-    ElementaryKind.OVERSHEAR_INV: ElementaryKind.OVERSHEAR,
-    ElementaryKind.TWIST: ElementaryKind.TWIST_INV,
-    ElementaryKind.TWIST_INV: ElementaryKind.TWIST,
-}
+_INVERSE_KIND = {k: ElementaryKind(k.value[:-4] if k.value.endswith("_inv") else k.value + "_inv")
+                 for k in ElementaryKind}
 
 # The closed form of each kind, written once for complex scalars, jets and
 # numpy arrays: the argument of its exponential e, or None, then its updates
@@ -258,7 +255,10 @@ class MapWord:
 
     def jet(self, order: int) -> JetMap:
         xs = [Jet.variable(self.dim, order, i) for i in range(self.dim)]
-        return JetMap(self._step(xs, Jet.exp, lambda x: x))
+        jet = JetMap(self._step(xs, Jet.exp, lambda x: x))
+        if not all(cmath.isfinite(c) for comp in jet.components for c in comp.terms.values()):
+            raise DomainError(f"the order-{order} jet overflows: a coefficient is not finite")
+        return jet
 
 
 def build_family(k: int, weights: Sequence[float], w_coeff: float) -> MapWord:

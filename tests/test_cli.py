@@ -508,6 +508,20 @@ def test_non_finite_parameters_are_exit_two(capsys, argv):
     assert "must be finite" in err
 
 
+@pytest.mark.parametrize("argv", [
+    ("expand", "--map", "F3", "--a", "1e154", "--order", "4"),
+    ("expand", "--map", "G", "--a", "1e200", "--order", "3"),
+    ("verify", "--a", "1e154"),
+    ("directions", "--map", "G", "--a", "1e100", "--c=1e300", "--order", "4"),
+])
+def test_finite_parameters_whose_jets_overflow_are_exit_two(capsys, argv):
+    """Finite parameters pass the map's checks, but the word's jet leaves the
+    float range: an error naming the overflow, not inf/nan coefficients or a traceback."""
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert "jet overflows" in err
+
+
 @pytest.mark.parametrize("data, message", [
     ({"func": 1}, "'func' is not an option of expand"),
     ({"command": "verify"}, "'command' is not an option of expand"),

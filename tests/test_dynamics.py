@@ -48,7 +48,9 @@ from shearbasins.dynamics import (
     write_orbit_csv,
     write_pgm,
 )
-from shearbasins.maps import ElementaryKind, ElementaryMap, MapWord, Params, Prototype, build_F, planar_word
+from shearbasins.maps import (
+    ElementaryKind, ElementaryMap, MapWord, Params, Prototype, build_F, build_family, planar_word,
+)
 
 P113 = Params(1.0, 1.0, 3.0)
 QUAD = Prototype("quadratic_1d", 1.0)
@@ -303,10 +305,10 @@ def test_trace_consistency_true_projection_tight_frozen_model_loose():
 # rasters
 
 
-def quad_raster(width=200, height=200, max_iter=2500, workers=1):
+def quad_raster(width=200, height=200, max_iter=2500, workers=1, v_range=(-1.0, 1.0)):
     spec = SliceSpec(
         base=(0j,), dir1=(1 + 0j,), dir2=(1j,),
-        u_range=(-1.5, 0.5), v_range=(-1.0, 1.0), width=width, height=height,
+        u_range=(-1.5, 0.5), v_range=v_range, width=width, height=height,
     )
     cfg = OrbitConfig(max_iter=max_iter, record_stride=max_iter + 1)
     return sample_slice(QUAD, spec, cfg, workers=workers), spec, cfg
@@ -323,9 +325,20 @@ def test_raster_known_pixels():
     assert raster.codes[j, i] == CODE_ESCAPED
 
 
+def full_height(map_obj, spec, cfg):
+    """classify_batch on the start points of every row of the slice, mirror or not."""
+    return classify_batch(map_obj, spec.start_point(*np.meshgrid(spec.axis_u(), spec.axis_v())), cfg)
+
+
 def test_raster_conjugation_symmetry():
-    raster, _, _ = quad_raster(width=100, height=100, max_iter=2000)
-    assert np.array_equal(raster.codes, raster.codes[::-1, :])
+    """The mirrored raster is the full-height computation, and that one is symmetric."""
+    for height in (100, 99):
+        raster, spec, cfg = quad_raster(width=100, height=height, max_iter=2000)
+        codes, iters = full_height(QUAD, spec, cfg)
+        assert np.array_equal(raster.codes, codes)
+        assert np.array_equal(raster.iterations, iters)
+        assert np.array_equal(codes, codes[::-1, :])
+        assert np.array_equal(iters, iters[::-1, :])
 
 
 def test_raster_deterministic_across_workers():
@@ -371,22 +384,27 @@ def test_sample_slice_starts_at_most_one_worker_per_usable_cpu(monkeypatch, seri
 
 
 def test_bands_are_sized_by_pixel_count(monkeypatch, serial_pool):
+    """Bands are contiguous, cover the computed rows and are sized by their
+    pixel count: the top half of a conjugation-symmetric slice, all rows of
+    an asymmetric one."""
     serial_bands = []
     classify_band = dynamics._classify_band
     monkeypatch.setattr(dynamics, "_classify_band",
                         lambda args: serial_bands.append(args[3:]) or classify_band(args))
     # 32x32 is verify's determinism raster: two processes must still share
-    # at least two bands; 400x400 is the benchmark's two-worker raster
-    for side, parallel_bands in ((32, 2), (400, 8)):
+    # at least two bands; 400x400 is the benchmark's two-worker raster; an
+    # asymmetric v_range computes every row
+    for side, v_range, rows, parallel_bands in ((32, (-1.0, 1.0), 16, 2), (400, (-1.0, 1.0), 200, 8),
+                                                (32, (-1.0, 0.9), 32, 2), (400, (-1.0, 0.9), 400, 8)):
         serial_bands.clear()
-        serial, _, _ = quad_raster(width=side, height=side, max_iter=60, workers=1)
-        assert serial_bands == [(0, side)]
-        pooled, _, _ = quad_raster(width=side, height=side, max_iter=60, workers=2)
+        serial, _, _ = quad_raster(width=side, height=side, max_iter=60, workers=1, v_range=v_range)
+        assert serial_bands == [(0, rows)]
+        pooled, _, _ = quad_raster(width=side, height=side, max_iter=60, workers=2, v_range=v_range)
         pool = serial_pool[-1]
         assert pool.max_workers == 2
         assert len(pool.bands) == parallel_bands
         assert [lo for lo, _ in pool.bands] == [0] + [hi for _, hi in pool.bands[:-1]]
-        assert pool.bands[-1][1] == side
+        assert pool.bands[-1][1] == rows
         assert np.array_equal(serial.codes, pooled.codes)
         assert np.array_equal(serial.iterations, pooled.iterations)
 
@@ -411,6 +429,74 @@ def test_symmetric_axis_sampling_is_exactly_mirrored():
     us = spec.axis_u()
     assert us[8] == 0.0
     assert all(us[16 - i] == -us[i] for i in range(8))
+
+
+class _Wrapped:
+    """A map from outside the package; it delegates to a package map."""
+
+    def __init__(self, inner):
+        self.inner = inner
+
+    def eval_batch(self, coords):
+        return self.inner.eval_batch(coords)
+
+
+def _lifted(lift="pos", dim=3, w_fix=0.05 + 0j, v_range=(-0.3, 0.3), height=12):
+    zero = (0j,) * dim
+    return SliceSpec(base=zero, dir1=zero, dir2=zero, u_range=(-0.5, 0.4), v_range=v_range,
+                     width=10, height=height, lift=lift, w_fix=w_fix)
+
+
+def _affine(base, dir1, dir2, v_range=(-0.3, 0.3), height=12, u_range=(-0.5, 0.4)):
+    return SliceSpec(base=base, dir1=dir1, dir2=dir2, u_range=u_range, v_range=v_range,
+                     width=10, height=height)
+
+
+_F3 = build_F(P113)
+_G_SLICE = ((0j, 0.05 + 0j), (1 + 0j, 0j), (1j, 0j))
+_K3_SLICE = ((0.9 + 0j, 0.9 + 0j, 0.9 + 0j, 0.02 + 0j), (1 + 0j, 0j, 0j, 0j), (1j, 0j, 0j, 0.5j))
+# conjugation-symmetric slices of maps with real parameters: the top half is computed
+MIRRORED_SLICES = {
+    "lifted F3 pos, even height": (_F3, _lifted("pos")),
+    "lifted F3 pos, odd height": (_F3, _lifted("pos", height=13)),
+    "lifted F3 neg, even height": (_F3, _lifted("neg")),
+    "lifted F3 neg, odd height": (_F3, _lifted("neg", height=13)),
+    "G affine": (planar_word(_F3), _affine(*_G_SLICE)),
+    "G affine, odd height": (planar_word(_F3), _affine(*_G_SLICE, height=11)),
+    "FAMILY_K affine": (build_family(3, (1.0, 1.0, 1.0), 4.0), _affine(*_K3_SLICE, u_range=(-1.5, 0.4))),
+    "PROTO_1D": (QUAD, _affine((0j,), (1 + 0j,), (1j,), v_range=(-1.0, 1.0), height=15)),
+    "PROTO_2D lifted": (Prototype("product_2d"), _lifted("pos", dim=2, w_fix=0j, height=9)),
+    "degenerate v_range": (_F3, _lifted("pos", v_range=(-0.0, 0.0), height=6)),
+}
+# slices whose rows are all computed
+FULL_SLICES = {
+    "asymmetric v_range": (_F3, _lifted("pos", v_range=(-0.3, 0.25))),
+    "complex w_fix": (_F3, _lifted("pos", w_fix=0.05 + 0.01j)),
+    "dir2 with a real part": (planar_word(_F3), _affine((0j, 0.05 + 0j), (1 + 0j, 0j), (0.1 + 1j, 0j))),
+    "base with an imaginary part": (planar_word(_F3), _affine((0.01j, 0.05 + 0j), (1 + 0j, 0j), (1j, 0j))),
+    "map from outside the package": (_Wrapped(_F3), _lifted("pos")),
+    "word with a complex w_coeff": (
+        MapWord(tuple(ElementaryMap(f.kind, f.weights, complex(f.w_coeff)) for f in _F3.factors)), _lifted("pos")),
+}
+
+
+@pytest.mark.parametrize("name", [*MIRRORED_SLICES, *FULL_SLICES])
+def test_mirrored_raster_is_the_full_computation(monkeypatch, name):
+    """sample_slice classifies only the top half of a conjugation-symmetric
+    slice and mirrors the rest; codes and iterations equal, bit for bit,
+    classify_batch run on the start points of every row.  Any other slice,
+    and any map from outside the package, takes every row."""
+    map_obj, spec = {**MIRRORED_SLICES, **FULL_SLICES}[name]
+    cfg = OrbitConfig(max_iter=800, eps_converged=0.05, record_stride=1000)
+    bands = []
+    classify_band = dynamics._classify_band
+    monkeypatch.setattr(dynamics, "_classify_band", lambda args: bands.append(args[3:]) or classify_band(args))
+    raster = sample_slice(map_obj, spec, cfg)
+    codes, iters = full_height(map_obj, spec, cfg)
+    rows = (spec.height + 1) // 2 if name in MIRRORED_SLICES else spec.height
+    assert bands == [(0, rows)]
+    assert np.array_equal(raster.codes, codes)
+    assert np.array_equal(raster.iterations, iters)
 
 
 def test_lifted_raster_branch_independent():

@@ -72,6 +72,19 @@ def test_prune_threshold_drops_noise():
     assert jet.terms == {(1, 0): 1.0}
 
 
+def test_coefficient_whose_modulus_overflows_is_a_domain_error():
+    """abs() of a finite complex above the largest float raises OverflowError;
+    the prune rule turns it into a DomainError naming the overflow."""
+    with pytest.raises(DomainError, match="overflows"):
+        Jet(1, 1, {(1,): complex(1.5e308, 1.5e308)})
+    big = Jet(1, 1, {(1,): complex(1e308, 1e308)})
+    with pytest.raises(DomainError, match="overflows"):
+        big * 1.5
+    with pytest.raises(DomainError, match="overflows"):
+        Jet(1, 1, {(1,): 1.5e308}) + Jet(1, 1, {(1,): 1.5e308j})
+    assert math.isinf((big + big).coefficient((1,)).real)  # an infinite part is kept, as before
+
+
 def test_nan_coefficient_is_kept():
     jet = Jet(2, 3, {(1, 0): math.nan, (0, 1): complex(0.0, math.nan)})
     assert set(jet.terms) == {(1, 0), (0, 1)}

@@ -575,6 +575,13 @@ def test_map_from_spec_rejects_parameters_the_map_does_not_take(family, takes):
                 map_from_spec(spec)
 
 
+def test_word_jet_that_overflows_is_a_domain_error():
+    word = build_F(Params(1e154, 1.0, 3.0))
+    assert word.jet(1) == JetMap.identity(3, 1)
+    with pytest.raises(DomainError, match="the order-4 jet overflows"):
+        word.jet(4)
+
+
 def test_non_finite_parameters_are_rejected():
     for bad in (math.nan, math.inf, -math.inf):
         for abc in ((bad, 1.0, 3.0), (1.0, bad, 3.0), (1.0, 1.0, bad)):

@@ -80,10 +80,16 @@ WORDS = _words()
 
 
 def scalar_exp(x: complex) -> complex:
+    """cmath.exp, or C99's cexp value where cmath.exp raises: infinite
+    modulus in the direction (cos y, sin y) on overflow, and for an infinite
+    imaginary part nan, with an infinite real part when x.real is +inf."""
     try:
         return cmath.exp(x)
-    except (OverflowError, ValueError):
-        return complex(math.inf, math.inf)
+    except OverflowError:
+        y = x.imag
+        return complex(math.copysign(math.inf, math.cos(y)), math.copysign(math.inf, math.sin(y)) if y else y)
+    except ValueError:
+        return complex(math.inf, math.nan) if x.real == math.inf else complex(math.nan, math.nan)
 
 
 def apply_factor(f: ElementaryMap, zs: list, w, zeta, exp):

@@ -1,7 +1,8 @@
 """Command-line surface: expansion printing, verification, direction reports,
 orbit dumps and basin rasters.
 
-Exit codes: 0 all good, 1 a verification check failed, 2 invalid input.
+Exit codes: 0 all good, 1 a verification check failed (the director
+cross-check included), 2 invalid input.
 All randomized checks draw from one generator seeded by --seed, so every
 report, CSV and raster is byte-reproducible for a fixed configuration.
 A JSON file passed through --config overrides the command-line flags.
@@ -50,12 +51,10 @@ VERIFY_CHECK_NAMES = (
     "directions.euler",
     "directions.chart_independence",
     "directions.regime_advisory",
-    "dynamics.status_trichotomy",
     "dynamics.fiber_invariance",
     "dynamics.petal_rate",
     "dynamics.raster_determinism",
     "dynamics.trace_1d3d",
-    "dynamics.semiconjugacy_orbit",
     "dynamics.projection_statuses",
     "dynamics.product_recursion",
 )
@@ -185,12 +184,12 @@ def _check_maps(report: Report, word: MapWord, rng: random.Random) -> None:
     report.add("maps.automorphism_inverse", worst <= 1e-12, defect=worst, tolerance=1e-12,
                note="jet at order 6 and 100 sampled points")
 
-    semi = dyn.check_semiconjugacy(word, samples=100, radius=0.5, rng=rng)
+    semi = dyn.check_semiconjugacy(word, rng=rng)
     for name in ("pointwise", "jet"):
         c = semi[name]
         report.add(f"maps.semiconjugacy_{name}", c.ok, defect=c.defect, tolerance=c.tolerance, note=c.note)
 
-    equi = dyn.check_equivariance(word, samples=50, rng=rng)
+    equi = dyn.check_equivariance(word, rng=rng)
     alg = equi["algebraic"]
     report.add("maps.equivariance", alg.ok, defect=alg.defect, tolerance=alg.tolerance)
 
@@ -212,11 +211,6 @@ def _check_maps(report: Report, word: MapWord, rng: random.Random) -> None:
     else:
         report.add("maps.symmetry_tF1_zF2", True, status=SKIP,
                    note="regime not satisfied: a != b, identity not claimed")
-
-    # orbit-level semi-conjugacy lives with the dynamics checks
-    orb = semi["orbit_level"]
-    report.add("dynamics.semiconjugacy_orbit", orb.ok, defect=orb.defect, tolerance=orb.tolerance,
-               note=orb.note)
 
 
 def _check_directions(report: Report, word: MapWord, rng: random.Random) -> None:
@@ -291,15 +285,6 @@ def _check_directions(report: Report, word: MapWord, rng: random.Random) -> None
 
 def _check_dynamics(report: Report, word: MapWord, rng: random.Random) -> None:
     total = sum(word.factors[0].weights)
-    proto = Prototype("quadratic_1d", 1.0)
-    statuses = set()
-    for p0 in (-0.1, 0.5, 1.5, -1.5, 0.2j):
-        orbit = dyn.iterate(proto, (complex(p0),), dyn.OrbitConfig(max_iter=3000, record_stride=100))
-        statuses.add(orbit.status.kind)
-    trichotomy = statuses <= {dyn.CONVERGED, dyn.ESCAPED, dyn.UNDECIDED}
-    report.add("dynamics.status_trichotomy", trichotomy,
-               note=f"observed statuses {sorted(statuses)}")
-
     fiber = dyn.check_fiber_invariance(word, samples=10, rng=rng)
     ok = fiber.passed
     defect = max(c.defect for c in fiber.checks if c.defect is not None)
@@ -318,6 +303,7 @@ def _check_dynamics(report: Report, word: MapWord, rng: random.Random) -> None:
         report.add("dynamics.petal_rate", True, status=SKIP,
                    note="petal on the positive real axis needs a + b > 0")
 
+    proto = Prototype("quadratic_1d", 1.0)
     spec = dyn.SliceSpec(base=(0j,), dir1=(1 + 0j,), dir2=(1j,),
                          u_range=(-1.2, 0.4), v_range=(-0.8, 0.8), width=32, height=32)
     cfg = dyn.OrbitConfig(max_iter=1500, record_stride=2000)
@@ -332,7 +318,7 @@ def _check_dynamics(report: Report, word: MapWord, rng: random.Random) -> None:
     report.add("dynamics.raster_determinism", same,
                note="32x32 slice, repeated run and 1 vs 2 workers byte-identical")
 
-    trace = dyn.check_trace_consistency(word, zeta0=0.01, steps=1500)
+    trace = dyn.check_trace_consistency(word)
     proj = trace["projected_orbit"]
     report.add("dynamics.trace_1d3d", proj.ok, defect=proj.defect, tolerance=proj.tolerance,
                note=proj.note)
@@ -682,6 +668,9 @@ def main(argv=None) -> int:
     except (DomainError, DimensionError, ValueError, KeyError, OSError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except dirs_mod.CrossCheckError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
 
 
 def console_main() -> None:

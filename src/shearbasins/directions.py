@@ -46,6 +46,10 @@ class UnsupportedDimensionError(ValueError):
     in three or four variables that is not monomial-diagonal."""
 
 
+class CrossCheckError(ArithmeticError):
+    """The chart formula for the directors and its finite-difference check disagree."""
+
+
 class IdentityJetError(ValueError):
     """No nonzero homogeneous part above degree one within the order."""
 
@@ -201,7 +205,7 @@ def directors(lt: LeadingTerm, d: CharacteristicDirection) -> tuple[complex, ...
     """Director eigenvalues in the chart of the largest coordinate.
 
     A finite-difference derivative of the induced projective map provides a
-    second opinion; disagreement beyond 1e-6 raises ArithmeticError.
+    second opinion; disagreement beyond 1e-6 raises CrossCheckError.
     """
     chart = int(np.argmax(np.abs(np.asarray(d.v))))
     eigs = directors_in_chart(lt, d, chart)
@@ -209,7 +213,7 @@ def directors(lt: LeadingTerm, d: CharacteristicDirection) -> tuple[complex, ...
         fd = _sorted_eigs(_chart_derivative_fd(lt, d.v, chart) - np.eye(lt.part.k - 1))
         worst = max(abs(a - b) for a, b in zip(eigs, fd))
         if worst > 1e-6:
-            raise ArithmeticError(
+            raise CrossCheckError(
                 f"director cross-check failed: chart formula vs finite differences differ by {worst:.3e}"
             )
     return eigs

@@ -240,39 +240,25 @@ def sample_ball_point(rng, dim: int, radius: float) -> tuple[complex, ...]:
 # verification checks
 
 
-def check_semiconjugacy(
-    word: MapWord,
-    samples: int = 100,
-    radius: float = 0.5,
-    rng=None,
-) -> Report:
+def check_semiconjugacy(word: MapWord, rng=None) -> Report:
     """The projection sends the 3D word to its zeta-word G.
 
-    Compares pi o word with G o pi at sampled points and along one orbit,
+    Compares pi o word with G o pi at 100 points of the ball of radius 0.5,
     and push_forward(word.jet(8)) with G.jet(4) coefficient by coefficient,
-    relative to the larger of the two (nan if either is nan).
+    relative to the larger of the two (nan if either is nan).  The orbit
+    comparison is ``check_trace_consistency``'s.
     """
     rng = rng or random.Random(0)
     planar = planar_word(word)
     report = Report(title="semi-conjugacy")
 
     worst = 0.0
-    for _ in range(samples):
-        p = sample_ball_point(rng, 3, radius)
+    for _ in range(100):
+        p = sample_ball_point(rng, 3, 0.5)
         lhs = project_pi(word(p))
         rhs = planar(project_pi(p))
         worst = max(worst, max(abs(a - b) for a, b in zip(lhs, rhs)))
     report.add("pointwise", worst <= 1e-12, defect=worst, tolerance=1e-12)
-
-    p = (0.1 + 0j, 0.1 + 0j, 0.05 + 0j)
-    q = project_pi(p)
-    worst_orbit = 0.0
-    for _ in range(1000):
-        p = word(p)
-        q = planar(q)
-        worst_orbit = max(worst_orbit, max(abs(a - b) for a, b in zip(project_pi(p), q)))
-    report.add("orbit_level", worst_orbit <= 1e-9, defect=worst_orbit, tolerance=1e-9,
-               note="1000 steps from (0.1, 0.1, 0.05)")
 
     pushed, own = push_forward(word.jet(8)), planar.jet(4)
     pairs = [(f.coefficient(e), g.coefficient(e)) for f, g in zip(pushed.components, own.components)
@@ -283,17 +269,13 @@ def check_semiconjugacy(
     return report
 
 
-def check_equivariance(
-    word: MapWord,
-    samples: int = 50,
-    rng=None,
-) -> Report:
-    """Commutation with (z, t) -> (lambda z, t/lambda)."""
+def check_equivariance(word: MapWord, rng=None) -> Report:
+    """Commutation with (z, t) -> (lambda z, t/lambda) at 50 sampled points."""
     rng = rng or random.Random(0)
     report = Report(title="equivariance")
 
     worst = 0.0
-    for _ in range(samples):
+    for _ in range(50):
         p = sample_ball_point(rng, 3, 0.25)
         lam = cmath.exp(2j * math.pi * rng.random()) * (0.5 + 1.5 * rng.random())
         gauged = (lam * p[0], p[1] / lam, p[2])
@@ -351,7 +333,8 @@ def check_projection_statuses(word: MapWord, samples: int = 50, rng=None) -> Rep
 
     Pairs where either orbit stays undecided within the budget are excluded
     as borderline; the report lists them and any genuine disagreements with
-    the sign structure of the starting product coordinate.
+    the sign structure of the starting product coordinate.  Only statuses
+    are compared; the lift's zeta trace is ``check_trace_consistency``'s.
     """
     rng = rng or random.Random(0)
     cfg = OrbitConfig(max_iter=20_000, eps_converged=0.02, record_stride=10_000)
@@ -417,17 +400,6 @@ def check_projection_statuses(word: MapWord, samples: int = 50, rng=None) -> Rep
     down, up = pair_statuses(0j, y0)
     fixed_ok = down.kind == UNDECIDED and up.kind == UNDECIDED
     report.add("fixed_line", fixed_ok, note=f"(0, {y0.real:g}) stays fixed: planar {down}, lift {up}")
-
-    # trace comparison on a converging sample
-    o_up = iterate(word, (cmath.sqrt(0.01 + 0j), cmath.sqrt(0.01 + 0j), 0.02 + 0j),
-                   OrbitConfig(max_iter=500, eps_converged=1e-12, escape_radius=10.0))
-    q = (0.01 + 0j, 0.02 + 0j)
-    worst = 0.0
-    for n in range(1, len(o_up.zeta_trace)):
-        q = planar(q)
-        worst = max(worst, abs(o_up.zeta_trace[n] - q[0]))
-    report.add("lift_trace", worst <= 1e-10, defect=worst, tolerance=1e-10,
-               note="zeta trace of the lift matches the planar first coordinate")
     return report
 
 
@@ -489,18 +461,21 @@ def petal_rate(
     }
 
 
-def check_trace_consistency(word: MapWord, zeta0: float = 0.01, steps: int = 2000) -> Report:
+def check_trace_consistency(word: MapWord) -> Report:
     """Compare the 3D zeta trace with planar models of the same orbit.
 
-    Against the orbit of the zeta-word G the traces agree to roundoff.  Freezing
+    The orbit starts at (s, s, 0) with s = sqrt(0.01) and runs 1500 steps.
+    Against the orbit of the zeta-word G the traces agree to roundoff; this
+    is the one orbit-level check of the semi-conjugacy.  Freezing
     the second planar coordinate at zero does NOT reproduce the trace: the
     {w = 0} plane is not invariant downstairs (the w-image of (z, t, 0)
     carries a cubic term in the product coordinate), so that model is
     reported as a measured discrepancy, not a failure.
     """
     report = Report(title="planar trace consistency")
+    zeta0 = 0.01
     s = math.sqrt(zeta0)
-    cfg = OrbitConfig(max_iter=steps, eps_converged=1e-15, escape_radius=10.0, record_stride=1)
+    cfg = OrbitConfig(max_iter=1500, eps_converged=1e-15, escape_radius=10.0, record_stride=1)
     orbit = iterate(word, (s, s, 0.0), cfg)
     planar = planar_word(word)
 

@@ -17,9 +17,9 @@ which :func:`verify_normal_form` certifies monomial by monomial.  For k = 2
 (coordinates z, t, w) the word is the classical three-dimensional example.
 Each factor acts on (zeta, w) as a one-coordinate factor of weight A would,
 so the projection (z, w) -> (zeta, w) semi-conjugates the word to its
-zeta-word :func:`planar_word`, for k = 2 the planar map G.  Its checks are
-:func:`push_forward` (G's jet from the word's jet) and
-:func:`eval_pushforward` (G through a square-root lift).  Each closed form
+zeta-word :func:`planar_word`, for k = 2 the planar map G.  Its check is
+:func:`push_forward` (G's jet from the word's jet); :func:`eval_pushforward`
+(G through a square-root lift) is only the tests' reference.  Each closed form
 is written once, in ``_FORMULAS``; a :class:`MapWord` compiles its factors
 into one scalar step, for complex points and jets alike, and one batch step.
 """
@@ -546,5 +546,5 @@ def map_from_spec(spec: dict):
         raise DimensionError(f"map {family} takes one weight a, got {len(weights)}")
     if family == "PROTO_1D":
         return Prototype("quadratic_1d", weights[0])
-    word = build_F(Params(weights[0], float(spec.get("b", weights[0])), float(spec.get("c", 3.0))))
+    word = build_family(2, (weights[0], float(spec.get("b", weights[0]))), float(spec.get("c", 3.0)))
     return word if family == "F3" else planar_word(word)

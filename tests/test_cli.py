@@ -96,7 +96,7 @@ def test_direction_outputs_keep_their_bytes(tmp_path, capsys):
 # they also pin its start points and norms.
 OUTPUT_DIGESTS = {
     ("verify", "--seed", "0", "--json-out"):
-        {"out": "c5fdef73dead3ae3d8a6af34effd681203854f86037209b73c2a21c50c822441"},
+        {"out": "40570ba8fbbc98e383dda85faeac08edbf5746cc9d8a8e02a7e8b191f5def428"},
     ("basin", "--map", "F3", "--lift", "neg", "--w-fix", "0.05", "--res", "40", "40", "--max-iter", "300",
      "--out"):
         {"out": "73391833f23d4be8f6313f92c605e2e9d2114ac4a100086ce1829bfbdb25cea8",
@@ -520,6 +520,28 @@ def test_finite_parameters_whose_jets_overflow_are_exit_two(capsys, argv):
     code, out, err = run(capsys, *argv)
     assert (code, out) == (2, "")
     assert "jet overflows" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ("directions", "--map", "F3", "--a", "1e20", "--c=1e100", "--order", "4"),
+    ("verify", "--a", "1e20", "--c=1e100"),
+])
+def test_failed_director_cross_check_is_exit_one(capsys, argv):
+    """The jets are finite, but the chart formula and the finite differences
+    disagree: a failed check, reported as a message."""
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (1, "")
+    assert err.startswith("error: director cross-check failed")
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("exc", [ZeroDivisionError, ArithmeticError])
+def test_other_arithmetic_errors_are_not_caught(monkeypatch, exc):
+    def broken(lt, d):
+        raise exc("a bug")
+    monkeypatch.setattr(cli.dirs_mod, "directors", broken)
+    with pytest.raises(exc):
+        cli.main(["directions", "--map", "G", "--order", "4"])
 
 
 @pytest.mark.parametrize("data, message", [

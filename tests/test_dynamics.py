@@ -217,10 +217,9 @@ def test_tangent_needs_enough_points():
 
 
 def test_semiconjugacy_check_passes():
-    report = check_semiconjugacy(build_F(P113), samples=100, radius=0.5, rng=random.Random(0))
+    report = check_semiconjugacy(build_F(P113), rng=random.Random(0))
     assert report.passed
     assert report["pointwise"].defect <= 1e-12
-    assert report["orbit_level"].defect <= 1e-9
     assert report["jet"].defect <= 1e-12
 
 
@@ -231,12 +230,12 @@ def test_semiconjugacy_check_fails_for_a_mutated_weight(monkeypatch):
                             for f in planar_word(word).factors))
     assert mutated.factors[0].weights == (2 + 1e-9,)
     monkeypatch.setattr(dynamics, "planar_word", lambda w: mutated)
-    report = check_semiconjugacy(word, samples=100)
+    report = check_semiconjugacy(word)
     assert not report["pointwise"].ok and not report["jet"].ok
 
 
 def test_equivariance_check_passes():
-    report = check_equivariance(build_F(P113), samples=50, rng=random.Random(0))
+    report = check_equivariance(build_F(P113), rng=random.Random(0))
     assert report.passed
     assert report["algebraic"].defect <= 1e-12
 
@@ -264,7 +263,6 @@ def test_projection_statuses_check_passes():
     assert report["fixed_line"].status == "pass"
     assert report["repelling_side"].status == "pass"
     assert report["both_classes_observed"].status == "pass"
-    assert report["lift_trace"].defect <= 1e-10
 
 
 def test_product_recursion_check():
@@ -289,7 +287,7 @@ def test_petal_rate_across_small_starts():
 
 def test_trace_consistency_true_projection_tight_frozen_model_loose():
     word = build_F(P113)
-    report = check_trace_consistency(word, zeta0=0.01, steps=1500)
+    report = check_trace_consistency(word)
     assert report["projected_orbit"].defect <= 1e-10
     frozen = report["frozen_w_model"]
     assert frozen.status == "warn"
@@ -299,6 +297,17 @@ def test_trace_consistency_true_projection_tight_frozen_model_loose():
     assert frozen.defect > 1e-10
     jet = word.jet(6)
     assert abs(jet.components[2].coefficient((3, 3, 0)) - 4.0) <= 1e-12
+
+
+def test_trace_consistency_fails_for_a_mutated_weight(monkeypatch):
+    """The one orbit-level semi-conjugacy check fails against a G compiled with weight a + b + 1e-6."""
+    word = build_F(P113)
+    mutated = MapWord(tuple(ElementaryMap(f.kind, (f.weights[0] + 1e-6,), f.w_coeff)
+                            for f in planar_word(word).factors))
+    assert mutated.factors[0].weights == (2 + 1e-6,)
+    monkeypatch.setattr(dynamics, "planar_word", lambda w: mutated)
+    proj = check_trace_consistency(word)["projected_orbit"]
+    assert not proj.ok and proj.defect > proj.tolerance
 
 
 # ----------------------------------------------------------------------

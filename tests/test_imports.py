@@ -62,3 +62,20 @@ def test_every_package_name_the_gate_imports_exists():
     missing = [f"{module}.{name}" for module, name in names
                if not hasattr(importlib.import_module(module), name)]
     assert missing == []
+
+
+def bench_attribute_reads(source: str) -> set[tuple[str, str]]:
+    """Every ``cli.X`` and ``dynamics.X`` that a harness module names."""
+    return {(node.value.id, node.attr) for node in ast.walk(ast.parse(source))
+            if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+            and node.value.id in ("cli", "dynamics")}
+
+
+def test_every_cli_and_dynamics_name_the_harness_reads_exists():
+    """``bench/*.py`` reach ``cli.X`` and ``dynamics.X`` by attribute, which
+    neither the SPANS nor the import check above sees."""
+    reads = set().union(*(bench_attribute_reads(path.read_text()) for path in BENCH.glob("*.py")))
+    assert {("cli", "VERIFY_CHECK_NAMES"), ("cli", "main"), ("dynamics", "iterate")} <= reads
+    modules = {name: importlib.import_module(f"shearbasins.{name}") for name in ("cli", "dynamics")}
+    missing = sorted(f"{module}.{attr}" for module, attr in reads if not hasattr(modules[module], attr))
+    assert missing == []

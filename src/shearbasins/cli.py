@@ -1,6 +1,9 @@
 """Command-line surface: expansion printing, verification, direction reports,
 orbit dumps and basin rasters.
 
+A verify row is its check's own row: a check that returns a report of
+several rows contributes each of them as it stands, named after the
+check (``dynamics.projection_statuses.attracting_side``).
 Exit codes: 0 all good, 1 a verification check failed (the director
 cross-check included), 2 invalid input.
 All randomized checks draw from one generator seeded by --seed, so every
@@ -34,16 +37,21 @@ from .report import SKIP, WARN, Report
 
 MAP_CHOICES = ("F3", "G", "PROTO_1D", "PROTO_2D", "FAMILY_K")
 
+# every row of verify, in order; a check's sub-report rows appear under its prefix
 VERIFY_CHECK_NAMES = (
     "jets.ring_axioms",
     "jets.compose_associativity",
     "jets.eval_compatibility",
     "jets.euler_identity",
-    "maps.normal_form",
+    "maps.normal_form.coeff_F1",
+    "maps.normal_form.coeff_F2",
+    "maps.normal_form.coeff_Fw",
+    "maps.normal_form.ideal_Fz",
+    "maps.normal_form.ideal_Fw",
     "maps.automorphism_inverse",
-    "maps.semiconjugacy_pointwise",
-    "maps.semiconjugacy_jet",
-    "maps.equivariance",
+    "maps.semiconjugacy.pointwise",
+    "maps.semiconjugacy.jet",
+    "maps.equivariance.algebraic",
     "maps.fixed_planes",
     "maps.symmetry_tF1_zF2",
     "directions.residuals",
@@ -51,12 +59,19 @@ VERIFY_CHECK_NAMES = (
     "directions.euler",
     "directions.chart_independence",
     "directions.regime_advisory",
-    "dynamics.fiber_invariance",
+    "dynamics.fiber_invariance.zeta_trace",
+    "dynamics.fiber_invariance.status",
     "dynamics.petal_rate",
     "dynamics.raster_determinism",
-    "dynamics.trace_1d3d",
-    "dynamics.projection_statuses",
-    "dynamics.product_recursion",
+    "dynamics.trace_1d3d.projected_orbit",
+    "dynamics.trace_1d3d.frozen_w_model",
+    "dynamics.projection_statuses.status_agreement",
+    "dynamics.projection_statuses.attracting_side",
+    "dynamics.projection_statuses.repelling_side",
+    "dynamics.projection_statuses.both_classes_observed",
+    "dynamics.projection_statuses.fixed_line",
+    "dynamics.product_recursion.recursion",
+    "dynamics.product_recursion.axis_preserved",
 )
 
 _VAR_NAMES = {
@@ -165,11 +180,7 @@ def _check_jets(report: Report, rng: random.Random) -> None:
 def _check_maps(report: Report, word: MapWord, rng: random.Random) -> None:
     a, b = word.factors[0].weights
     jet = word.jet(8)
-    form = verify_normal_form(jet, (a, b), word.factors[0].w_coeff)
-    defect = max((c.defect for c in form.checks if c.defect is not None), default=0.0)
-    failed = [c.name for c in form.checks if not c.ok]
-    report.add("maps.normal_form", form.passed, defect=defect,
-               note="all five form checks pass" if form.passed else f"failed: {failed}")
+    report.extend("maps.normal_form", verify_normal_form(jet, (a, b), word.factors[0].w_coeff))
 
     inverse = word.inverse()
     jet_defect = inverse.then(word).jet(6).minus_identity().max_abs_diff(
@@ -184,14 +195,8 @@ def _check_maps(report: Report, word: MapWord, rng: random.Random) -> None:
     report.add("maps.automorphism_inverse", worst <= 1e-12, defect=worst, tolerance=1e-12,
                note="jet at order 6 and 100 sampled points")
 
-    semi = dyn.check_semiconjugacy(word, rng=rng)
-    for name in ("pointwise", "jet"):
-        c = semi[name]
-        report.add(f"maps.semiconjugacy_{name}", c.ok, defect=c.defect, tolerance=c.tolerance, note=c.note)
-
-    equi = dyn.check_equivariance(word, rng=rng)
-    alg = equi["algebraic"]
-    report.add("maps.equivariance", alg.ok, defect=alg.defect, tolerance=alg.tolerance)
+    report.extend("maps.semiconjugacy", dyn.check_semiconjugacy(word, rng=rng))
+    report.extend("maps.equivariance", dyn.check_equivariance(word, rng=rng))
 
     # one exponential round trip e^x * e^-x leaves roundoff of a few ulps
     worst = 0.0
@@ -241,11 +246,10 @@ def _check_directions(report: Report, word: MapWord, rng: random.Random) -> None
 
     worst = 0.0
     for lt, found in ((lt_f, found_f), (lt_g, found_g)):
+        jac, k = lt.part.jacobian(), lt.part.k
         for d in found:
             if d.degenerate:
                 continue
-            jac = lt.part.jacobian()
-            k = lt.part.k
             dp_v = np.array([[jac[i][j](d.v) for j in range(k)] for i in range(k)], dtype=complex)
             defect = float(np.max(np.abs(dp_v @ np.array(d.v) - lt.degree * d.lam * np.array(d.v))))
             worst = max(worst, defect)
@@ -274,9 +278,8 @@ def _check_directions(report: Report, word: MapWord, rng: random.Random) -> None
                    note=f"outside chosen regime (need a=b>0, c>2a); director {director}"
                         + (" is not strictly positive" if value <= 0 else ""))
 
-    extras = [d for d in found_f if not d.degenerate]
-    if extras:
-        tags = sorted({d.family_tag or "isolated" for d in extras})
+    tags = _tags_beyond_hyperplanes(found_f)
+    if tags:
         report.notes.append(
             "non-degenerate characteristic directions exist beyond the degenerate "
             f"coordinate hyperplanes: {tags}; see the directions report"
@@ -285,11 +288,7 @@ def _check_directions(report: Report, word: MapWord, rng: random.Random) -> None
 
 def _check_dynamics(report: Report, word: MapWord, rng: random.Random) -> None:
     total = sum(word.factors[0].weights)
-    fiber = dyn.check_fiber_invariance(word, samples=10, rng=rng)
-    ok = fiber.passed
-    defect = max(c.defect for c in fiber.checks if c.defect is not None)
-    report.add("dynamics.fiber_invariance", ok, defect=defect, tolerance=1e-10,
-               note="; ".join(c.note for c in fiber.checks if c.note))
+    report.extend("dynamics.fiber_invariance", dyn.check_fiber_invariance(word, samples=10, rng=rng))
 
     if total > 0:
         rate = dyn.petal_rate(word, zeta0=0.01, n_steps=10_000)
@@ -306,7 +305,7 @@ def _check_dynamics(report: Report, word: MapWord, rng: random.Random) -> None:
     proto = Prototype("quadratic_1d", 1.0)
     spec = dyn.SliceSpec(base=(0j,), dir1=(1 + 0j,), dir2=(1j,),
                          u_range=(-1.2, 0.4), v_range=(-0.8, 0.8), width=32, height=32)
-    cfg = dyn.OrbitConfig(max_iter=1500, record_stride=2000)
+    cfg = dyn.OrbitConfig(max_iter=1500)
     r1 = dyn.sample_slice(proto, spec, cfg, workers=1)
     r2 = dyn.sample_slice(proto, spec, cfg, workers=1)
     r3 = dyn.sample_slice(proto, spec, cfg, workers=2)
@@ -318,26 +317,9 @@ def _check_dynamics(report: Report, word: MapWord, rng: random.Random) -> None:
     report.add("dynamics.raster_determinism", same,
                note="32x32 slice, repeated run and 1 vs 2 workers byte-identical")
 
-    trace = dyn.check_trace_consistency(word)
-    proj = trace["projected_orbit"]
-    report.add("dynamics.trace_1d3d", proj.ok, defect=proj.defect, tolerance=proj.tolerance,
-               note=proj.note)
-    frozen = trace["frozen_w_model"]
-    report.add("dynamics.trace_1d3d_frozen_model", True, status=WARN, defect=frozen.defect,
-               note=frozen.note)
-    report.notes.extend(trace.notes)
-
-    proj_statuses = dyn.check_projection_statuses(word, samples=20, rng=rng)
-    ok = proj_statuses.passed
-    agg = "; ".join(c.note for c in proj_statuses.checks if c.note)
-    report.add("dynamics.projection_statuses", ok,
-               defect=max((c.defect for c in proj_statuses.checks if c.defect is not None), default=0.0),
-               note=agg)
-
-    recursion = dyn.check_product_recursion(samples=50, rng=rng)
-    rec = recursion["recursion"]
-    report.add("dynamics.product_recursion", recursion.passed, defect=rec.defect,
-               tolerance=rec.tolerance, note=rec.note)
+    report.extend("dynamics.trace_1d3d", dyn.check_trace_consistency(word))
+    report.extend("dynamics.projection_statuses", dyn.check_projection_statuses(word, samples=20, rng=rng))
+    report.extend("dynamics.product_recursion", dyn.check_product_recursion(samples=50, rng=rng))
 
 
 def run_verify_suite(word: MapWord, seed: int = 0) -> Report:
@@ -354,11 +336,9 @@ def run_verify_suite(word: MapWord, seed: int = 0) -> Report:
     _check_directions(report, word, rng)
     _check_dynamics(report, word, rng)
 
-    order = [c.name for c in report.checks]
-    canonical = [n for n in order if n in VERIFY_CHECK_NAMES]
-    missing = [n for n in VERIFY_CHECK_NAMES if n not in canonical]
-    if missing or len(canonical) != len(set(canonical)):
-        raise RuntimeError(f"verification suite incomplete or duplicated: missing {missing}")
+    names = tuple(c.name for c in report.checks)
+    if names != VERIFY_CHECK_NAMES:
+        raise RuntimeError(f"verification rows {names} differ from VERIFY_CHECK_NAMES")
     return report
 
 
@@ -412,6 +392,12 @@ def _planar_director(planar: MapWord) -> float:
     """(c - a - b)/(a + b), the director of G at [1:0], read off the twist of the zeta-word."""
     twist = planar.factors[0]
     return (twist.w_coeff - twist.weights[0]) / twist.weights[0]
+
+
+def _tags_beyond_hyperplanes(found) -> list[str]:
+    """Sorted family tags ("isolated" if none) of the non-degenerate directions,
+    which lie beyond the degenerate coordinate hyperplanes."""
+    return sorted({d.family_tag or "isolated" for d in found if not d.degenerate})
 
 
 def _names(ns, dim: int) -> tuple[str, ...]:
@@ -472,12 +458,9 @@ def cmd_directions(ns) -> int:
         expected = {f"hyperplane {nm}=0" for nm in names[:-1]}
         if not expected <= hyper:
             warnings.append(f"expected degenerate hyperplane families {sorted(expected)} not all found")
-        extras = [d for d in found if not d.degenerate]
-        if extras:
-            warnings.append(
-                "directions beyond the degenerate coordinate hyperplanes: "
-                + ", ".join(sorted({d.family_tag or "isolated" for d in extras}))
-            )
+        tags = _tags_beyond_hyperplanes(found)
+        if tags:
+            warnings.append("directions beyond the degenerate coordinate hyperplanes: " + ", ".join(tags))
     elif ns.map == "G":
         expected_dir = _planar_director(evaluator)
         isolated = [d for d in found if not d.degenerate and d.family_dim == 0]

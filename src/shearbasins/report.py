@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 PASS = "pass"
 FAIL = "fail"
@@ -51,6 +51,11 @@ class Report:
         result = CheckResult(name, status or (PASS if passed else FAIL), defect, tolerance, note)
         self.checks.append(result)
         return result
+
+    def extend(self, prefix: str, other: Report) -> None:
+        """Append each of ``other``'s rows as ``prefix.name``, then its notes."""
+        self.checks.extend(replace(c, name=f"{prefix}.{c.name}") for c in other.checks)
+        self.notes.extend(other.notes)
 
     def __getitem__(self, name: str) -> CheckResult:
         for check in self.checks:

@@ -96,7 +96,7 @@ def test_direction_outputs_keep_their_bytes(tmp_path, capsys):
 # they also pin its start points and norms.
 OUTPUT_DIGESTS = {
     ("verify", "--seed", "0", "--json-out"):
-        {"out": "40570ba8fbbc98e383dda85faeac08edbf5746cc9d8a8e02a7e8b191f5def428"},
+        {"out": "ef20adf2d66a4f91ee4d6fcc2997933b200f28f9d0396b9fa4d14c2ecd53b6a0"},
     ("basin", "--map", "F3", "--lift", "neg", "--w-fix", "0.05", "--res", "40", "40", "--max-iter", "300",
      "--out"):
         {"out": "73391833f23d4be8f6313f92c605e2e9d2114ac4a100086ce1829bfbdb25cea8",
@@ -136,9 +136,7 @@ def test_verify_default_passes_and_is_reproducible(tmp_path, capsys):
     assert out1.read_bytes() == out2.read_bytes()
 
     payload = json.loads(out1.read_text())
-    names = [c["name"] for c in payload["checks"]]
-    for canonical in cli.VERIFY_CHECK_NAMES:
-        assert names.count(canonical) == 1, canonical
+    assert tuple(c["name"] for c in payload["checks"]) == cli.VERIFY_CHECK_NAMES
     assert payload["passed"] is True
     assert any("zeta denotes the product z*t" in n for n in payload["notes"])
 
@@ -156,6 +154,32 @@ def test_verify_unequal_weights_skip_symmetry(capsys):
     assert "SKIP" in out
     assert "regime not satisfied: a != b" in out
     assert "director (c-a-b)/(a+b) = 0.333333" in out
+
+
+def test_verify_names_the_failing_sub_check(capsys):
+    """A failing sub-check is its own row, not hidden in a folded one."""
+    code, out, _ = run(capsys, "verify", "--a", "1", "--b", "3", "--c", "3")
+    assert code == 1
+    failed = [line for line in out.splitlines() if line.startswith("FAIL")]
+    assert len(failed) == 1
+    assert failed[0].split()[1] == "dynamics.projection_statuses.attracting_side"
+
+
+def test_report_extend_prefixes_rows_and_keeps_the_rest():
+    sub = Report(title="sub")
+    sub.add("kept", True, defect=0.5, tolerance=1.0, note="a note")
+    sub.add("failed", False)
+    sub.notes.append("sub note")
+    report = Report(title="top")
+    report.notes.append("top note")
+    report.extend("check", sub)
+    assert [c.name for c in report.checks] == ["check.kept", "check.failed"]
+    kept, failed = report.checks
+    assert (kept.status, kept.defect, kept.tolerance, kept.note) == ("pass", 0.5, 1.0, "a note")
+    assert (failed.status, failed.defect, failed.tolerance, failed.note) == ("fail", None, None, "")
+    assert report.notes == ["top note", "sub note"]
+    assert [c.name for c in sub.checks] == ["kept", "failed"]
+    assert not report.passed
 
 
 def test_verify_exit_one_on_failure(monkeypatch, capsys):

@@ -270,13 +270,14 @@ def _check_directions(report: Report, word: MapWord, rng: random.Random) -> None
                note=f"{checked} direction(s) compared in two charts")
 
     value = _planar_director(planar)
-    director = f"{'(c-2a)/(2a)' if a == b else '(c-a-b)/(a+b)'} = {value:g}"
+    director = ("none, as [1:0] is degenerate at a+b = 0" if value is None
+                else f"{'(c-2a)/(2a)' if a == b else '(c-a-b)/(a+b)'} = {value:g}")
     if family_in_regime((a, b), c):
         report.add("directions.regime_advisory", True, note=f"chosen regime holds; planar director {director} > 0")
     else:
         report.add("directions.regime_advisory", True, status=WARN,
                    note=f"outside chosen regime (need a=b>0, c>2a); director {director}"
-                        + (" is not strictly positive" if value <= 0 else ""))
+                        + (" is not strictly positive" if value is not None and value <= 0 else ""))
 
     tags = _tags_beyond_hyperplanes(found_f)
     if tags:
@@ -388,10 +389,12 @@ def _build_evaluator(ns, family: str | None = None):
     return map_from_spec({"family": family or ns.map, **spec})
 
 
-def _planar_director(planar: MapWord) -> float:
-    """(c - a - b)/(a + b), the director of G at [1:0], read off the twist of the zeta-word."""
+def _planar_director(planar: MapWord) -> float | None:
+    """(c - a - b)/(a + b), the director of G at [1:0], read off the twist of the
+    zeta-word; None at a + b = 0, where [1:0] is degenerate and has no director."""
     twist = planar.factors[0]
-    return (twist.w_coeff - twist.weights[0]) / twist.weights[0]
+    total = twist.weights[0]
+    return (twist.w_coeff - total) / total if total else None
 
 
 def _tags_beyond_hyperplanes(found) -> list[str]:
@@ -465,10 +468,12 @@ def cmd_directions(ns) -> int:
         expected_dir = _planar_director(evaluator)
         isolated = [d for d in found if not d.degenerate and d.family_dim == 0]
         hit = [
-            d for d in isolated
-            if abs(abs(d.v[0]) - 1) < 1e-8 and d.directors and abs(d.directors[0] - expected_dir) < 1e-8
+            d for d in isolated if expected_dir is not None
+            and abs(abs(d.v[0]) - 1) < 1e-8 and d.directors and abs(d.directors[0] - expected_dir) < 1e-8
         ]
-        if not hit:
+        if expected_dir is None:
+            warnings.append("a+b = 0: the direction [1:0] is degenerate and has no director")
+        elif not hit:
             warnings.append(f"expected the isolated direction [1:0] with director {expected_dir:g}")
         if len([d for d in found if not d.degenerate]) > len(hit):
             warnings.append("additional non-degenerate directions present")

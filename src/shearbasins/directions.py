@@ -337,7 +337,7 @@ def characteristic_directions(
     lt: LeadingTerm,
     names: Sequence[str] | None = None,
 ) -> list[CharacteristicDirection]:
-    """All characteristic directions of the leading part (k <= 4).
+    """All characteristic directions of the leading part.
 
     Monomial-diagonal parts are enumerated exactly, including the
     positive-dimensional families; other planar parts go through the roots
@@ -346,8 +346,6 @@ def characteristic_directions(
     residual bound ||P(v) - lambda v|| <= 1e-8 at ||v|| = 1.
     """
     k = lt.part.k
-    if k > 4:
-        raise UnsupportedDimensionError(f"direction solver supports k <= 4, got {k}")
     if names is None:
         names = [f"x{i}" for i in range(k)]
     structure = _monomial_diagonal(lt.part)

@@ -19,6 +19,9 @@ exact squared bounds, rooting them there and for block maxima when a window
 closes.  Its arrays hold only undecided elements, one map evaluation per
 pixel-iteration.  Both take start points from ``SliceSpec.start_point`` and
 norms from ``_norm``'s formula; only numpy's complex product separates them.
+``iterate`` takes a MapWord's steps from its compiled ``advance`` loop,
+which hands back each step that the gate, a window close or a record index
+concerns; any other evaluator it calls once per step.
 """
 
 from __future__ import annotations
@@ -105,7 +108,9 @@ class Orbit:
 
 
 def _norm(p: Sequence[complex]) -> float:
-    """The squares added left to right, as ``sum`` adds them before Python 3.12."""
+    """The squares added left to right, as ``sum`` adds them before Python 3.12.
+
+    ``MapWord.advance`` writes this formula inline; ``_batch_norm`` is its square on arrays."""
     total = 0.0
     for x in p:
         total += x.real * x.real + x.imag * x.imag
@@ -137,7 +142,13 @@ def iterate(evaluator: Callable, p0: Sequence[complex], cfg: OrbitConfig | None 
     """Iterate the exact map until ``_rule`` decides a step or max_iter runs out.
 
     Every iterate participates in the status decision; only every
-    record_stride-th point (plus the final one) is stored.
+    record_stride-th point (plus the final one) is stored.  At a stride
+    above 1, an evaluator with an ``advance`` loop (a MapWord) runs there
+    every step that neither the gate of ``_rule`` nor a window close nor a
+    record index concerns; the step that does comes back here, and a step
+    whose exponential raises is taken by ``evaluator(p)``, the one call per
+    step of any other evaluator and the reference the tests compare
+    ``advance`` against.
     """
     cfg = cfg or OrbitConfig()
     p = tuple(complex(x) for x in p0)
@@ -152,11 +163,21 @@ def iterate(evaluator: Callable, p0: Sequence[complex], cfg: OrbitConfig | None 
     cur_block_max = _norm(p)
     window_ok = False
     status: Status | None = None
-    eps, radius, stride, isfinite, norm = (
-        cfg.eps_converged, cfg.escape_radius, cfg.record_stride, math.isfinite, _norm)
+    eps, radius, stride, max_iter, isfinite, norm = (
+        cfg.eps_converged, cfg.escape_radius, cfg.record_stride, cfg.max_iter, math.isfinite, _norm)
+    # at stride 1 every step is recorded, so advance would hand each one back
+    advance = getattr(evaluator, "advance", None) if stride > 1 else None
 
-    for n in range(1, cfg.max_iter + 1):
-        q = evaluator(p)
+    n = 0
+    while n < max_iter:
+        q = None
+        if advance is not None:
+            # the next window close, record index or max_iter
+            stop = min(n - n % _WINDOW + _WINDOW, n - n % stride + stride, max_iter)
+            p, q, n, cur_block_max = advance(p, n, stop, eps, radius, cur_block_max)
+        if q is None:
+            n += 1
+            q = evaluator(p)
         nrm = norm(q)
         if nrm > cur_block_max:
             cur_block_max = nrm
@@ -179,9 +200,9 @@ def iterate(evaluator: Callable, p0: Sequence[complex], cfg: OrbitConfig | None 
         p = q
 
     if status is None:
-        status = Status(UNDECIDED, cfg.max_iter)
-        if indices[-1] != cfg.max_iter:
-            record(p, cfg.max_iter)
+        status = Status(UNDECIDED, max_iter)
+        if indices[-1] != max_iter:
+            record(p, max_iter)
 
     return Orbit(points=points, indices=indices, status=status)
 

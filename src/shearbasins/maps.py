@@ -30,6 +30,7 @@ import cmath
 import math
 from dataclasses import dataclass
 from enum import Enum
+from functools import cached_property
 from typing import Sequence
 
 import numpy as np
@@ -99,11 +100,12 @@ _FORMULAS = {
 }
 
 
-def _compile(factors: Sequence[ElementaryMap]):
-    """Straight-line scalar and batch steps of the word ``factors``."""
+def _compile(factors: Sequence[ElementaryMap], kind: str):
+    """The word ``factors`` compiled as ``kind``: "step", "advance" or "batch" (see MapWord)."""
     zs = [f"z{i}" for i in range(len(factors[0].weights))]
-    coords = ", ".join([*zs, "w"])
-    namespace = {"cmath": cmath, "np": np, "DimensionError": DimensionError}
+    xs = [*zs, "w"]
+    coords = ", ".join(xs)
+    namespace = {"cmath": cmath, "math": math, "np": np, "DimensionError": DimensionError}
 
     def body(batch: bool, indent: str) -> str:
         # owned: the arrays this batch step allocated, the only ones it adds
@@ -142,23 +144,47 @@ def _compile(factors: Sequence[ElementaryMap]):
                             owned.add(x)
         return "".join(f"\n{indent}{line}" for line in lines)
 
-    scalar_body = body(False, "    ")
-    batch_body = body(True, "        ")
-    exec(f"""
+    if kind == "step":
+        source = f"""
 def step(p, exp=cmath.exp, convert=complex):
     try:
         {coords} = p
     except ValueError:
-        raise DimensionError(f"point has {{len(p)}} coordinates, expected {len(zs) + 1}") from None
-    {coords} = {", ".join(f"convert({x})" for x in [*zs, "w"])}{scalar_body}
+        raise DimensionError(f"point has {{len(p)}} coordinates, expected {len(xs)}") from None
+    {coords} = {", ".join(f"convert({x})" for x in xs)}{body(False, "    ")}
     return ({coords},)
-
+"""
+    elif kind == "advance":
+        # _norm's sum: each coordinate's two squares, then the coordinates left to right
+        last = "".join(f"\n            last_{x} = {x}" for x in xs)
+        norm = " + ".join(f"({x}.real * {x}.real + {x}.imag * {x}.imag)" for x in xs)
+        lasts = ", ".join(f"last_{x}" for x in xs)
+        source = f"""
+def advance(p, n, stop, eps, radius, block):
+    exp, sqrt = cmath.exp, math.sqrt
+    if len(p) != {len(xs)}:
+        return p, None, n, block
+    {coords} = p
+    try:
+        while True:{last}
+            n += 1{body(False, "            ")}
+            nrm = sqrt({norm})
+            if n == stop or not eps <= nrm <= radius or z0.real == last_z0.real:
+                return ({lasts},), ({coords},), n, block
+            if nrm > block:
+                block = nrm
+    except (OverflowError, ValueError):
+        return ({lasts},), None, n - 1, block
+"""
+    else:
+        source = f"""
 def batch(coords):
     {coords} = coords
-    with np.errstate(over="ignore", invalid="ignore", under="ignore"):{batch_body}
+    with np.errstate(over="ignore", invalid="ignore", under="ignore"):{body(True, "        ")}
     return [{coords}]
-""", namespace)
-    return namespace["step"], namespace["batch"]
+"""
+    exec(source, namespace)
+    return namespace[kind]
 
 
 @dataclass(frozen=True)
@@ -183,16 +209,29 @@ class MapWord:
 
     Any k >= 1 is allowed; :func:`planar_word` builds k = 1 words.
 
-    Construction compiles the word from ``_FORMULAS`` into one straight-line
-    scalar step (``__call__``) and one numpy batch step (``eval_batch``).
-    Both do the float operations of applying the factors' closed forms one
-    by one, in the same order: the scalar zeta product starts from (1+0j),
-    weights enter as the float-complex products a * w and -a * w, _cexp
-    turns overflow into inf, and the twist's total is sum(weights) from int
-    0.  A zeta product is reused only across factors that leave every z_i
-    unchanged.  The scalar step calls cmath.exp directly; only when it
-    raises (overflow, or an infinite argument) does ``__call__`` rerun the
-    step with _cexp, which returns cmath.exp's value wherever that returns.
+    The word is compiled from ``_FORMULAS`` into three straight-line
+    functions: the scalar step (``__call__``), compiled with the word, and
+    the numpy batch step (``eval_batch``) and ``advance``, each compiled on
+    first use.  All do the float operations of applying the factors' closed
+    forms one by one, in the same order: the scalar zeta product starts
+    from (1+0j), weights enter as the float-complex products a * w and
+    -a * w, _cexp turns overflow into inf, and the twist's total is
+    sum(weights) from int 0.  A zeta product is reused only across factors
+    that leave every z_i unchanged.  The scalar step calls cmath.exp
+    directly; only when it raises (overflow, or an infinite argument) does
+    ``__call__`` rerun the step with _cexp, which returns cmath.exp's value
+    wherever that returns.
+
+    ``advance(p, n, stop, eps, radius, block)`` is ``iterate``'s loop of
+    scalar steps from the complex point p of index n.  It keeps the
+    coordinates in locals, with no conversion and no tuple per step, adds
+    each step's norm into the block maximum ``block`` as ``iterate`` does,
+    and writes ``_norm``'s sum inline.  It returns (point before, point,
+    index, block) at the first step whose norm lies outside [eps, radius]
+    or is nan, or whose first coordinate's real part did not change (every
+    stationary step), and at index ``stop``; before a step whose cmath.exp
+    raises it returns (point, None, index, block), and that step goes
+    through ``__call__``.
 
     The scalar step also serves jets: its exponential and its coordinate
     conversion are parameters, cmath.exp and complex by default, and
@@ -226,9 +265,15 @@ class MapWord:
             raise DimensionError("a map word needs at least one factor")
         if len({f.dim for f in self.factors}) != 1 or self.dim < 2:
             raise DimensionError("all factors must act on the same space C^{k+1}, k >= 1")
-        step, batch = _compile(self.factors)
-        object.__setattr__(self, "_step", step)
-        object.__setattr__(self, "_batch", batch)
+        object.__setattr__(self, "_step", _compile(self.factors, "step"))
+
+    @cached_property
+    def _batch(self):
+        return _compile(self.factors, "batch")
+
+    @cached_property
+    def advance(self):
+        return _compile(self.factors, "advance")
 
     def __reduce__(self):
         return (MapWord, (self.factors,))

@@ -93,7 +93,9 @@ def test_direction_outputs_keep_their_bytes(tmp_path, capsys):
 
 # sha256 of every file these commands write into "out" (a basin raster's
 # sidecar goes to "out.json").  The rasters run the batch orbit engine, so
-# they also pin its start points and norms.
+# they also pin its start points and norms; the orbit CSVs pin the scalar
+# engine's points, norms and statuses, past window closes, record strides
+# and, from (3, 3, 3) under an escape radius of 1e300, an overflowing exp.
 OUTPUT_DIGESTS = {
     ("verify", "--seed", "0", "--json-out"):
         {"out": "ef20adf2d66a4f91ee4d6fcc2997933b200f28f9d0396b9fa4d14c2ecd53b6a0"},
@@ -104,6 +106,12 @@ OUTPUT_DIGESTS = {
     ("basin", "--map", "PROTO_1D", "--res", "60", "60", "--workers", "2", "--out"):
         {"out": "07628fd0173ec2aa66e6293e0254810e3fab13bea063d6b94188731669658778",
          "out.json": "974446349a419ec1e4de26079947142240ae4bd067aa5e07700fdebecc3a4da7"},
+    ("orbit", "--map", "F3", "--stride", "10", "--eps", "0.02", "--max-iter", "20000", "--out"):
+        {"out": "e8634c645b97173f28dc542d854d4bfac110961b4345a380fb859c0ec59db148"},
+    ("orbit", "--map", "G", "--start", "0.1,0.05", "--stride", "7", "--out"):
+        {"out": "41b8182619254263f1522776dd24b199a6968ca4d3903ecd7caab1a0361e6ada"},
+    ("orbit", "--map", "F3", "--start", "3,3,3", "--escape", "1e300", "--out"):
+        {"out": "fe5578fb981652cf76d35c00cec9711605ed5ecf80258798a85c99841607063d"},
 }
 
 
@@ -214,6 +222,26 @@ def test_directions_planar_with_unequal_weights(capsys, tmp_path):
     assert code == 0
     assert "directors=0.666667" in out
     assert "WARN" not in out and json.loads(out_path.read_text())["warnings"] == []
+
+
+def test_zero_weight_sum_leaves_the_planar_direction_without_a_director(capsys):
+    """At a + b = 0 the direction [1:0] of G is degenerate.  directions warns
+    and exits 0; verify warns and exits 1 on its own failing orbit rows."""
+    code, out, err = run(capsys, "directions", "--map", "G", "--a", "1", "--b", "-1")
+    assert (code, err) == (0, "")
+    assert "WARN  a+b = 0: the direction [1:0] is degenerate and has no director" in out
+    code, out, err = run(capsys, "verify", "--a", "1", "--b", "-1")
+    assert (code, err) == (1, "")
+    assert "[1:0] is degenerate at a+b = 0" in out
+    failed = [line.split()[1] for line in out.splitlines() if line.startswith("FAIL")]
+    assert failed and all(name.startswith("dynamics.projection_statuses.") for name in failed)
+
+
+@pytest.mark.parametrize("k", [4, 5])
+def test_directions_of_the_family_beyond_four_variables(capsys, k):
+    code, out, err = run(capsys, "directions", "--map", "FAMILY_K", "--k", str(k))
+    assert (code, err) == (0, "")
+    assert all(f"hyperplane z{i + 1}=0" in out for i in range(k))
 
 
 def test_directions_word_reports_families_and_warns_about_extras(capsys):

@@ -21,7 +21,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from shearbasins import dynamics
+from shearbasins import dynamics, maps
 from shearbasins.dynamics import (
     CODE_CONVERGED,
     CODE_ESCAPED,
@@ -48,6 +48,7 @@ from shearbasins.dynamics import (
     write_orbit_csv,
     write_pgm,
 )
+from shearbasins.jets import DimensionError
 from shearbasins.maps import (
     ElementaryKind, ElementaryMap, MapWord, Params, Prototype, build_F, build_family, planar_word,
 )
@@ -167,6 +168,46 @@ def test_record_stride_thins_points_but_not_status():
     sparse = iterate(QUAD, (-0.1,), OrbitConfig(max_iter=5000, record_stride=500))
     assert dense.status == sparse.status
     assert len(sparse.points) < len(dense.points)
+
+
+ADVANCE_WORDS = {
+    "F3": build_F(P113),
+    "G": planar_word(build_F(P113)),
+    "FAMILY_K": build_family(3, (1.0, 1.0, 1.0), 4.0),
+    "F3(0.1,0.7,3.3)": build_F(Params(0.1, 0.7, 3.3)),
+    "FAMILY_K(0.1,0.7,3.3)": build_family(3, (0.1, 0.7, 3.3), 4.0),
+}
+
+
+@pytest.mark.parametrize("stride", [1, 7, 100, 10_000])
+@pytest.mark.parametrize("name", ADVANCE_WORDS)
+def test_compiled_step_loop_gives_the_per_step_orbit(name, stride, monkeypatch):
+    """iterate on a word, which runs its compiled ``advance`` loop at strides
+    above 1, records the points, indices and status of the per-step path,
+    which calls the word once per step.  The starts converge, stay undecided, escape, sit on
+    the fixed plane z = 0, have a nan norm, or, under an escape radius of
+    1e300, overflow cmath.exp so that the step falls back to _cexp."""
+    word = ADVANCE_WORDS[name]
+    rng = random.Random(word.dim)
+    starts = [dynamics.sample_ball_point(rng, word.dim, 0.4) for _ in range(4)]
+    starts += [dynamics.sample_ball_point(rng, word.dim, 4.0), (0j, *starts[0][1:]),
+               (complex(math.nan, 0.0), *starts[0][1:]), (3 + 0j,) * word.dim]
+    cexp, fallbacks = maps._cexp, []
+    monkeypatch.setattr(maps, "_cexp", lambda x: fallbacks.append(x) or cexp(x))
+    for radius in (10.0, 1e300):
+        cfg = OrbitConfig(max_iter=1000, eps_converged=0.05, escape_radius=radius, record_stride=stride)
+        for p in starts:
+            compiled, per_step = iterate(word, p, cfg), iterate(lambda q: word(q), p, cfg)
+            assert repr(compiled.points) == repr(per_step.points), (radius, p)
+            assert (compiled.indices, compiled.status) == (per_step.indices, per_step.status), (radius, p)
+    assert fallbacks
+
+
+def test_iterate_rejects_points_of_the_wrong_dimension():
+    for word in ADVANCE_WORDS.values():
+        for dim in (word.dim - 1, word.dim + 1):
+            with pytest.raises(DimensionError):
+                iterate(word, (0.1j,) * dim)
 
 
 # ----------------------------------------------------------------------

@@ -39,6 +39,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from shearbasins import maps
+from shearbasins.dynamics import _norm
 from shearbasins.jets import PRUNE_THRESHOLD, DimensionError, Jet, JetMap
 from shearbasins.maps import (
     ElementaryKind,
@@ -194,6 +195,23 @@ def test_scalar_step_keeps_signed_zeros_of_the_oracle(case):
     name, (p,) = case
     word = WORDS[name]
     assert bits(word(p)) == bits(scalar_oracle(word, p))
+
+
+@SETTINGS
+@given(word_and_points(points))
+def test_advance_is_bitwise_the_scalar_step_and_norm(case):
+    """advance's points are the scalar step's, and its block maximum is the
+    largest ``_norm`` of the steps it keeps, bit for bit."""
+    name, (p,) = case
+    word = WORDS[name]
+    last, q, n, block = word.advance(p, 0, 3, 0.0, math.inf, 0.0)
+    orbit = [p]
+    while len(orbit) <= 3:
+        orbit.append(word(orbit[-1]))
+    kept = orbit[1:n] if q is not None else orbit[1:n + 1]
+    assert bits(last) == bits(kept[-1] if kept else p)
+    assert q is None or bits(q) == bits(orbit[n])
+    assert struct.pack("<d", block) == struct.pack("<d", max([0.0, *map(_norm, kept)]))
 
 
 def test_scalar_step_reaches_overflow_like_the_oracle():
@@ -513,6 +531,14 @@ def test_pushforward_jet_is_the_pushed_forward_word_jet():
 
 # ----------------------------------------------------------------------
 # pickling
+
+
+def test_batch_step_and_advance_loop_compile_on_first_use():
+    word = build_F(Params(1.0, 1.0, 3.0))
+    assert "_batch" not in vars(word) and "advance" not in vars(word)
+    word.eval_batch([np.array([0.1j])] * 3)
+    assert "_batch" in vars(word) and "advance" not in vars(word)
+    assert "_batch" not in vars(pickle.loads(pickle.dumps(word)))
 
 
 def test_word_and_pushforward_survive_pickle():

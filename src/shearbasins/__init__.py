@@ -33,7 +33,6 @@ from .directions import (
     characteristic_directions,
     characteristic_set_dimension,
     classify,
-    directors,
     leading_term,
 )
 from .dynamics import (

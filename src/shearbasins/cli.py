@@ -4,8 +4,7 @@ orbit dumps and basin rasters.
 A verify row is its check's own row: a check that returns a report of
 several rows contributes each of them as it stands, named after the
 check (``dynamics.projection_statuses.attracting_side``).
-Exit codes: 0 all good, 1 a verification check failed (the director
-cross-check included), 2 invalid input.
+Exit codes: 0 all good, 1 a verification check failed, 2 invalid input.
 All randomized checks draw from one generator seeded by --seed, so every
 report, CSV and raster is byte-reproducible for a fixed configuration.
 A JSON file passed through --config overrides the command-line flags.
@@ -57,7 +56,6 @@ VERIFY_CHECK_NAMES = (
     "directions.residuals",
     "directions.scaling_covariance",
     "directions.euler",
-    "directions.chart_independence",
     "directions.regime_advisory",
     "dynamics.fiber_invariance.zeta_trace",
     "dynamics.fiber_invariance.status",
@@ -103,11 +101,14 @@ def _random_dyadic_jet(rng: random.Random, k: int, order: int, n_terms: int = 6)
 
 
 def _random_origin_map(rng: random.Random, k: int, order: int) -> JetMap:
+    """A map fixing the origin whose coefficients are +-1 +- i, the signs of a
+    dyadic jet's: composing three of them at order 5 in 3 variables gives
+    Gaussian integers far below 2^53, so both association orders are exact."""
     comps = []
     for _ in range(k):
         jet = _random_dyadic_jet(rng, k, order, n_terms=5)
-        jet = jet - Jet.constant(k, order, jet.coefficient((0,) * k))
-        comps.append(jet)
+        comps.append(Jet(k, order, {e: complex(math.copysign(1, c.real), math.copysign(1, c.imag))
+                                    for e, c in jet.terms.items() if any(e)}))
     return JetMap(comps)
 
 
@@ -255,19 +256,6 @@ def _check_directions(report: Report, word: MapWord, rng: random.Random) -> None
             worst = max(worst, defect)
     report.add("directions.euler", worst <= 1e-8, defect=worst, tolerance=1e-8,
                note="DP(v) v = r lambda v on every non-degenerate direction")
-
-    torus = [d for d in found_f if not d.degenerate and d.family_dim >= 1]
-    worst = 0.0
-    checked = 0
-    for d in torus:
-        big = [i for i in range(3) if abs(d.v[i]) > 0.3]
-        if len(big) >= 2:
-            e1 = dirs_mod.directors_in_chart(lt_f, d, big[0])
-            e2 = dirs_mod.directors_in_chart(lt_f, d, big[1])
-            worst = max(worst, max(abs(a - b) for a, b in zip(e1, e2)))
-            checked += 1
-    report.add("directions.chart_independence", worst <= 1e-8, defect=worst, tolerance=1e-8,
-               note=f"{checked} direction(s) compared in two charts")
 
     value = _planar_director(planar)
     director = ("none, as [1:0] is degenerate at a+b = 0" if value is None
@@ -656,9 +644,6 @@ def main(argv=None) -> int:
     except (DomainError, DimensionError, ValueError, KeyError, OSError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except dirs_mod.CrossCheckError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
 
 
 def console_main() -> None:

@@ -6,26 +6,27 @@ rule, in ``direction``, which builds every direction record, decides
 degeneracy: |lambda| <= DEGENERATE_TOL is degenerate, reported with
 lambda = 0 and no directors.  The directors of a non-degenerate direction
 are the eigenvalues of the derivative at [v] of the map induced by P on
-projective space, minus the identity.  In coordinates this is the operator
-(1/lambda) DP(v) - Id acting on the quotient C^k / <v>; the Euler relation
-DP(v) v = r P(v) removes the radial eigenvalue r - 1.
+projective space, minus the identity: the operator (1/lambda) DP(v) - Id
+acting on the quotient C^k / <v>.
 
-Every map built in this package has monomial-diagonal leading part,
-P_i(v) = c_i * v^alpha * v_i with a common exponent alpha, for which the
-full characteristic set is enumerated exactly: coordinate hyperplanes
+Every map built in this package has a monomial-diagonal leading part,
+P_i(v) = c_i * v^alpha * v_i with a common exponent alpha and c_i possibly
+zero; any other part raises UnsupportedDimensionError.  The full
+characteristic set is enumerated exactly: coordinate hyperplanes
 {v_j = 0} for j in the support of alpha (all degenerate) and, for every
-index set S containing that support on which the c_i agree, the torus of
-directions supported exactly on S.  Any other planar part (k = 2) is
-solved exactly as well: its characteristic directions are the roots of the
-binary form x P_2 - y P_1, or every direction when that form vanishes.
-Other parts in three or four variables raise UnsupportedDimensionError.
+index set S containing that support on which the c_i agree, say c_i = c,
+the torus of directions supported exactly on S, with lambda = c v^alpha.
+Their directors have a closed form, (c_i - c)/c for each i outside S and
+|S| - 1 zeros.  As v_i = 0 outside S and alpha_j = 0 outside S,
+    (1/lambda) DP(v) = diag(c_i/c) + v w^T, with w_j = alpha_j / v_j;
+    the rank-one term maps into <v>, and c_i/c = 1 on S, so modulo v
+    the operator is diag(c_i/c) outside S and the identity on S / <v>.
 """
 
 from __future__ import annotations
 
 import itertools
-import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -34,7 +35,6 @@ from .jets import DomainError, JetMap
 
 DEGENERATE_TOL = 1e-8
 ATTRACTING_TOL = 1e-10
-_EPS = float(np.finfo(float).eps)
 
 DEGENERATE = "DEGENERATE"
 NON_DEGENERATE_ATTRACTING = "NON_DEGENERATE_ATTRACTING"
@@ -42,12 +42,7 @@ NON_DEGENERATE_OTHER = "NON_DEGENERATE_OTHER"
 
 
 class UnsupportedDimensionError(ValueError):
-    """No exact method for this part: more than four variables, or a part
-    in three or four variables that is not monomial-diagonal."""
-
-
-class CrossCheckError(ArithmeticError):
-    """The chart formula for the directors and its finite-difference check disagree."""
+    """No exact method for this part: it is not monomial-diagonal."""
 
 
 class IdentityJetError(ValueError):
@@ -111,112 +106,35 @@ def _normalize(v: np.ndarray) -> tuple[complex, ...]:
     return tuple(complex(x) for x in v)
 
 
-def _eval_part(part: JetMap, v: Sequence[complex]) -> np.ndarray:
-    return np.array(part(v), dtype=complex)
-
-
 def _residual(part: JetMap, v: Sequence[complex], lam: complex) -> float:
-    pv = _eval_part(part, v)
+    pv = np.array(part(v), dtype=complex)
     return float(np.linalg.norm(pv - lam * np.asarray(v, dtype=complex)))
 
 
-def _monomial_diagonal(part: JetMap) -> tuple[tuple[int, ...], list[complex]] | None:
-    """Recognize P_i = c_i * v^alpha * v_i with one shared alpha."""
+def _monomial_diagonal(part: JetMap) -> tuple[tuple[int, ...], list[complex]]:
+    """(alpha, [c_i]) of P_i = c_i * v^alpha * v_i with one shared alpha; a
+    zero component has c_i = 0.  Any other part raises UnsupportedDimensionError."""
     alpha: tuple[int, ...] | None = None
     coeffs: list[complex] = []
     for i, comp in enumerate(part.components):
         terms = comp.sorted_terms()
-        if len(terms) != 1:
-            return None
+        if not terms:
+            coeffs.append(0j)
+            continue
         e, c = terms[0]
-        if e[i] < 1:
-            return None
         this_alpha = tuple(x - 1 if j == i else x for j, x in enumerate(e))
-        if alpha is None:
-            alpha = this_alpha
-        elif this_alpha != alpha:
-            return None
+        if len(terms) != 1 or e[i] < 1 or alpha not in (None, this_alpha):
+            alpha = None
+            break
+        alpha = this_alpha
         coeffs.append(c)
     if alpha is None:
-        return None
+        raise UnsupportedDimensionError(f"no direction solver for a non-diagonal part in {part.k} variables")
     return alpha, coeffs
 
 
 # ----------------------------------------------------------------------
-# directors
-
-
-def _quotient_operator(lt: LeadingTerm, v: Sequence[complex], lam: complex, chart: int) -> np.ndarray:
-    """Matrix of (1/lambda) DP(v) - Id on C^k / <v> in the given chart."""
-    k = lt.part.k
-    jac = lt.part.jacobian()
-    dp = np.array([[jac[i][j](v) for j in range(k)] for i in range(k)], dtype=complex)
-    a = dp / lam
-    rows = [i for i in range(k) if i != chart]
-    vv = np.asarray(v, dtype=complex)
-    m = np.empty((k - 1, k - 1), dtype=complex)
-    for ri, i in enumerate(rows):
-        for ci, j in enumerate(rows):
-            m[ri, ci] = a[i, j] - (vv[i] / vv[chart]) * a[chart, j]
-    return m - np.eye(k - 1)
-
-
-def _chart_derivative_fd(lt: LeadingTerm, v: Sequence[complex], chart: int) -> np.ndarray:
-    """Central finite differences, step 1e-5, of the induced chart map u -> P_j(x)/P_chart(x)."""
-    k, h = lt.part.k, 1e-5
-    vv = np.asarray(v, dtype=complex)
-    base = vv / vv[chart]
-    rows = [i for i in range(k) if i != chart]
-
-    def chart_map(u: np.ndarray) -> np.ndarray:
-        x = np.empty(k, dtype=complex)
-        x[chart] = 1.0
-        for ri, i in enumerate(rows):
-            x[i] = u[ri]
-        px = _eval_part(lt.part, tuple(x))
-        return np.array([px[i] / px[chart] for i in rows], dtype=complex)
-
-    u0 = np.array([base[i] for i in rows], dtype=complex)
-    deriv = np.empty((k - 1, k - 1), dtype=complex)
-    for col in range(k - 1):
-        step = np.zeros(k - 1, dtype=complex)
-        step[col] = h
-        deriv[:, col] = (chart_map(u0 + step) - chart_map(u0 - step)) / (2 * h)
-    return deriv
-
-
-def _sorted_eigs(m: np.ndarray) -> tuple[complex, ...]:
-    eigs = np.linalg.eigvals(m)
-    return tuple(sorted((complex(e) for e in eigs), key=lambda z: (round(z.real, 10), round(z.imag, 10))))
-
-
-def directors_in_chart(lt: LeadingTerm, d: CharacteristicDirection, chart: int) -> tuple[complex, ...]:
-    """Directors computed in a prescribed affine chart (no cross-check)."""
-    if d.degenerate:
-        raise DomainError("directors are defined only for non-degenerate directions")
-    if lt.part.k == 1:
-        return ()
-    if abs(d.v[chart]) == 0:
-        raise DomainError("chart coordinate vanishes on this direction")
-    return _sorted_eigs(_quotient_operator(lt, d.v, d.lam, chart))
-
-
-def directors(lt: LeadingTerm, d: CharacteristicDirection) -> tuple[complex, ...]:
-    """Director eigenvalues in the chart of the largest coordinate.
-
-    A finite-difference derivative of the induced projective map provides a
-    second opinion; disagreement beyond 1e-6 raises CrossCheckError.
-    """
-    chart = int(np.argmax(np.abs(np.asarray(d.v))))
-    eigs = directors_in_chart(lt, d, chart)
-    if eigs:
-        fd = _sorted_eigs(_chart_derivative_fd(lt, d.v, chart) - np.eye(lt.part.k - 1))
-        worst = max(abs(a - b) for a, b in zip(eigs, fd))
-        if worst > 1e-6:
-            raise CrossCheckError(
-                f"director cross-check failed: chart formula vs finite differences differ by {worst:.3e}"
-            )
-    return eigs
+# classification
 
 
 def classify(d: CharacteristicDirection) -> str:
@@ -241,12 +159,17 @@ def direction(lt: LeadingTerm, v: tuple[complex, ...], lam: complex, **family) -
     """The record of [v] with P(v) = lam v; ``family`` holds its family tag and dimension.
 
     |lam| <= DEGENERATE_TOL makes [v] degenerate: lambda 0, the residual
-    against 0 and no directors.  Any other [v] gets its directors."""
-    degenerate = abs(lam) <= DEGENERATE_TOL
-    if degenerate:
-        lam = 0j
-    d = CharacteristicDirection(v, lam, degenerate, (), _residual(lt.part, v, lam), **family)
-    return d if degenerate else replace(d, directors=directors(lt, d))
+    against 0 and no directors.  Any other [v] gets the directors of the
+    module docstring, with S the support of v and c the coefficient c_i of
+    its first index, sorted by real and then imaginary part."""
+    if abs(lam) <= DEGENERATE_TOL:
+        return CharacteristicDirection(v, 0j, True, (), _residual(lt.part, v, 0j), **family)
+    coeffs = _monomial_diagonal(lt.part)[1]
+    support = [i for i, x in enumerate(v) if x != 0]
+    c = coeffs[support[0]]
+    eigs = [(ci - c) / c for i, ci in enumerate(coeffs) if i not in support] + [0j] * (len(support) - 1)
+    directors = tuple(sorted(eigs, key=lambda z: (round(z.real, 10), round(z.imag, 10))))
+    return CharacteristicDirection(v, lam, False, directors, _residual(lt.part, v, lam), **family)
 
 
 def _exact_directions(lt: LeadingTerm, alpha: tuple[int, ...], coeffs: list[complex],
@@ -278,79 +201,18 @@ def _exact_directions(lt: LeadingTerm, alpha: tuple[int, ...], coeffs: list[comp
     return out
 
 
-def _binary_roots(form: np.ndarray, tol: float) -> list[np.ndarray]:
-    """Projective roots [x:y] of the binary form sum_j form[j] x^(n-j) y^j.
-
-    Coefficients up to ``tol`` count as zero.  The chart x = 1 gives the
-    numpy.roots of q(t) = sum_j form[j] t^j, plus [0:1] when the top
-    coefficient vanishes.  A root c of multiplicity m comes back as m values
-    spread by about rho = (eps |q|(|c|) / |q^(m)(c) / m!|)^(1/m), eps^(1/m)
-    for a well-separated root; the largest cluster within 4 rho of its mean
-    becomes the mean, which is the root to roundoff.
-    """
-    q = np.where(np.abs(form) <= tol, 0j, form)[::-1]
-    left = sorted(np.roots(q), key=lambda t: (t.real, t.imag))
-    out = []
-    while left:
-        near = sorted(range(len(left)), key=lambda i: abs(left[i] - left[0]))
-        for m in range(len(left), 0, -1):
-            c = sum(left[i] for i in near[:m]) / m
-            spread = max(abs(left[i] - c) for i in near[:m])
-            top = abs(np.polyval(np.polyder(q, m), c)) / math.factorial(m)
-            if (spread / 4) ** m * top <= _EPS * np.polyval(np.abs(q), abs(c)):
-                break
-        out.append(np.array([1.0, c], dtype=complex))
-        left = [t for i, t in enumerate(left) if i not in near[:m]]
-    if q[0] == 0:
-        out.append(np.array([0.0, 1.0], dtype=complex))
-    return out
-
-
-def _root_direction(lt: LeadingTerm, x: np.ndarray) -> CharacteristicDirection:
-    v = _normalize(x)
-    return direction(lt, v, complex(np.vdot(np.asarray(v), _eval_part(lt.part, v))))
-
-
-def _binary_form_directions(lt: LeadingTerm) -> list[CharacteristicDirection]:
-    """Directions of a planar part as the roots of x P_2 - y P_1.
-
-    In C^2 these roots are exactly the characteristic directions (Hakim
-    1998; Abate 2001).  When the form vanishes identically the part is
-    dicritical, P = h (x, y): every direction is characteristic, the
-    induced map of the projective line is the identity, so the directors
-    are 0, and the degenerate ones are the roots of h.
-    """
-    r = lt.degree
-    p1, p2 = lt.part.components
-    tol = 1e-12 * max(abs(c) for comp in (p1, p2) for c in comp.terms.values())
-    form = np.array([p2.coefficient((r - j, j)) - p1.coefficient((r + 1 - j, j - 1)) for j in range(r + 2)])
-    if np.any(np.abs(form) > tol):
-        return [_root_direction(lt, x) for x in _binary_roots(form, tol)]
-    # h has degree r - 1, so it is nonzero at one of any r directions
-    reps = [_root_direction(lt, np.array([1.0, j], dtype=complex)) for j in range(r)]
-    family = replace(max(reps, key=lambda d: abs(d.lam)), directors=(0j,), family_tag="dicritical", family_dim=1)
-    h = np.array([p1.coefficient((r - j, j)) for j in range(r)])
-    return [family] + [_root_direction(lt, x) for x in _binary_roots(h, tol)]
-
-
 def characteristic_directions(
     lt: LeadingTerm,
     names: Sequence[str] | None = None,
 ) -> list[CharacteristicDirection]:
     """All characteristic directions of the leading part.
 
-    Monomial-diagonal parts are enumerated exactly, including the
-    positive-dimensional families; other planar parts go through the roots
-    of the binary form x P_2 - y P_1.  Any other part raises
+    A monomial-diagonal part is enumerated exactly, including the
+    positive-dimensional families; any other part raises
     UnsupportedDimensionError.  Every returned direction satisfies the
     residual bound ||P(v) - lambda v|| <= 1e-8 at ||v|| = 1.
     """
-    k = lt.part.k
     if names is None:
-        names = [f"x{i}" for i in range(k)]
-    structure = _monomial_diagonal(lt.part)
-    if structure is not None:
-        return _exact_directions(lt, structure[0], structure[1], names)
-    if k == 2:
-        return _binary_form_directions(lt)
-    raise UnsupportedDimensionError(f"no direction solver for a non-diagonal part in {k} variables")
+        names = [f"x{i}" for i in range(lt.part.k)]
+    alpha, coeffs = _monomial_diagonal(lt.part)
+    return _exact_directions(lt, alpha, coeffs, names)

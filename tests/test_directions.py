@@ -1,9 +1,9 @@
 """Characteristic direction and director tests.
 
-The chart computation is cross-checked by finite differences of the
-induced projective map inside directors() itself; here we also verify the
-closed-form eigenvalues worked out by hand for the monomial-diagonal
-leading parts:
+The directors come from a closed form in the coefficients of the
+monomial-diagonal leading part.  Here they are checked against an
+eigen-solve of (1/lambda) DP(v) - Id on the quotient C^k / <v>, written in
+this file as the reference, and against values worked out by hand:
 
     planar part (-2a x^2, -c x y):  [1:0] has lambda = -2a and director
     c/(2a) - 1 = (c - 2a)/(2a); [0:1] is degenerate.
@@ -13,6 +13,7 @@ leading parts:
     torus of directions with lambda = -a z t and directors {0, c/a - 1}.
 """
 
+import cmath
 import math
 import random
 
@@ -23,18 +24,17 @@ from shearbasins.directions import (
     DEGENERATE,
     NON_DEGENERATE_ATTRACTING,
     NON_DEGENERATE_OTHER,
-    CharacteristicDirection,
     IdentityJetError,
+    LeadingTerm,
     UnsupportedDimensionError,
     characteristic_directions,
     characteristic_set_dimension,
     classify,
-    directors,
-    directors_in_chart,
+    direction,
     leading_term,
 )
 from shearbasins.jets import DomainError, Jet, JetMap
-from shearbasins.maps import Params, Prototype, build_F, build_family, push_forward
+from shearbasins.maps import Params, Prototype, build_F, build_family, planar_word, push_forward
 
 
 def planar_part(a, c, order=2):
@@ -120,8 +120,6 @@ def test_directions_of_planar_part():
 def test_directions_boundary_case_adds_torus():
     # c = 2a: the component coefficients agree, so the torus {x y != 0}
     # becomes characteristic on top of the isolated [1:0]
-    from shearbasins.directions import LeadingTerm
-
     lt = LeadingTerm(2, planar_part(1.0, 2.0))
     found = characteristic_directions(lt, names=("x", "y"))
     tags = {d.family_tag for d in found if d.family_tag}
@@ -140,8 +138,6 @@ def test_directions_one_variable():
 
 
 def test_unsupported_dimension():
-    from shearbasins.directions import LeadingTerm
-
     part = JetMap([Jet.monomial(5, 2, tuple(2 if j == i else 0 for j in range(5))) for i in range(5)])
     with pytest.raises(UnsupportedDimensionError):
         characteristic_directions(LeadingTerm(2, part))
@@ -159,8 +155,6 @@ def test_directions_deterministic():
 
 
 def test_director_value_for_planar_map():
-    from shearbasins.directions import LeadingTerm
-
     for a, c, expected in ((1.0, 3.0, 0.5), (2.0, 5.0, 0.25), (0.5, 2.0, 1.0)):
         lt = LeadingTerm(2, planar_part(a, c))
         found = characteristic_directions(lt, names=("x", "y"))
@@ -170,8 +164,6 @@ def test_director_value_for_planar_map():
 
 
 def test_director_zero_at_regime_boundary():
-    from shearbasins.directions import LeadingTerm
-
     lt = LeadingTerm(2, planar_part(1.0, 2.0))
     found = characteristic_directions(lt, names=("x", "y"))
     d = next(d for d in found if not d.degenerate and d.family_dim == 0)
@@ -188,53 +180,66 @@ def test_directors_of_the_torus_family():
     assert classify(torus) == NON_DEGENERATE_OTHER
 
 
-def test_directors_reject_degenerate_directions():
-    lt = leading_term(build_F(Params(1, 1, 3)).jet(6))
-    found = characteristic_directions(lt, names=("z", "t", "w"))
-    degenerate = next(d for d in found if d.degenerate)
-    with pytest.raises(DomainError):
-        directors(lt, degenerate)
+def eigen_directors(lt, d):
+    """The reference: eigenvalues of (1/lambda) DP(v) - Id on C^k / <v>, in the
+    chart of the largest coordinate of v, where row i of the quotient is row i
+    minus v_i / v_chart times the chart's row."""
+    k, v = lt.part.k, d.v
+    jac = lt.part.jacobian()
+    a = np.array([[jac[i][j](v) for j in range(k)] for i in range(k)], dtype=complex) / d.lam
+    chart = int(np.argmax(np.abs(v)))
+    rows = [i for i in range(k) if i != chart]
+    m = np.array([[a[i, j] - v[i] / v[chart] * a[chart, j] for j in rows] for i in rows]) - np.eye(k - 1)
+    return sorted((complex(e) for e in np.linalg.eigvals(m)), key=lambda z: (round(z.real, 10), round(z.imag, 10)))
 
 
-def test_directors_finite_difference_cross_check():
-    """The quotient formula equals the derivative of the induced chart map."""
-    from shearbasins.directions import LeadingTerm, _chart_derivative_fd, _quotient_operator
+def random_words(rng, draws):
+    """(word, number of non-degenerate directions) for random parameters:
+    FAMILY_K with k = 2 to 5 equal weights (F3 at k = 2) and G.  The boundary
+    cases come with each draw: w joins the torus when its coefficient equals
+    the weight, c = a + b adds G's torus {zeta w != 0} (the c = 2a torus at
+    a = b), and at a + b = 0 G's part has a zero component and no
+    non-degenerate direction."""
+    def weight():
+        return rng.choice((-1, 1)) * rng.uniform(0.1, 4.0)
 
-    lt = LeadingTerm(2, planar_part(1.0, 3.0))
-    v = (1.0 + 0j, 0j)
-    lam = -2.0 + 0j
-    quotient = _quotient_operator(lt, v, lam, 0)
-    fd = _chart_derivative_fd(lt, v, 0) - np.eye(1)
-    assert np.max(np.abs(quotient - fd)) <= 1e-6
+    for _ in range(draws):
+        a, b, c = weight(), weight(), weight()
+        for k in range(2, 6):
+            yield build_family(k, (a,) * k, c), 1
+            yield build_family(k, (a,) * k, a), 2
+        yield planar_word(build_family(2, (a, b), c)), 1
+        yield planar_word(build_family(2, (a, b), a + b)), 2
+        yield planar_word(build_family(2, (a, -a), c)), 0
 
 
-def test_chart_independence():
-    lt = leading_term(build_F(Params(1, 1, 3)).jet(6))
-    found = characteristic_directions(lt, names=("z", "t", "w"))
-    torus = next(d for d in found if d.family_tag and d.family_tag.startswith("torus"))
-    e0 = directors_in_chart(lt, torus, 0)
-    e1 = directors_in_chart(lt, torus, 1)
-    assert max(abs(a - b) for a, b in zip(e0, e1)) <= 1e-8
+def test_closed_form_directors_equal_an_eigen_solve():
+    compared = 0
+    for word, expected in random_words(random.Random(2874), 30):
+        lt = leading_term(word.jet(word.dim))
+        found = [d for d in characteristic_directions(lt) if not d.degenerate]
+        assert len(found) == expected
+        for d in found:
+            reference = eigen_directors(lt, d)
+            assert len(d.directors) == len(reference) == lt.part.k - 1
+            scale = max([1.0] + [abs(e) for e in reference])
+            assert max(abs(x - e) for x, e in zip(d.directors, reference)) <= 1e-14 * scale
+            compared += 1
+    assert compared >= 400
 
 
 def test_scaling_covariance():
-    from shearbasins.directions import LeadingTerm
-
     lt = LeadingTerm(2, planar_part(1.0, 3.0))
     base = next(
         d for d in characteristic_directions(lt, names=("x", "y")) if not d.degenerate
     )
     rng = random.Random(0)
     for _ in range(10):
-        phase = complex(math.cos(t := 2 * math.pi * rng.random()), math.sin(t))
+        phase = cmath.exp(2j * math.pi * rng.random())
         v = tuple(phase * x for x in base.v)
-        pv = np.array(lt.part(v))
-        lam = complex(np.vdot(np.array(v), pv))
+        lam = complex(np.vdot(np.array(v), np.array(lt.part(v))))
         assert abs(lam - base.lam * phase ** (lt.degree - 1)) <= 1e-8
-        moved = CharacteristicDirection(
-            v=v, lam=lam, degenerate=False, directors=(), residual=0.0
-        )
-        assert max(abs(a - b) for a, b in zip(directors(lt, moved), base.directors)) <= 1e-8
+        assert direction(lt, v, lam).directors == base.directors
 
 
 def test_euler_identity_on_found_directions():
@@ -272,88 +277,26 @@ def test_characteristic_set_dimension_matches_hyperplane_cone():
 
 
 # ----------------------------------------------------------------------
-# binary-form solver for planar parts that are not monomial-diagonal
-
-
-def test_binary_form_finds_isolated_direction_of_generic_part():
-    from shearbasins.directions import LeadingTerm
-
-    # P(x, y) = (x^2 + y^2, x y): only [1:0] solves P(v) = lambda v
-    part = JetMap([Jet(2, 2, {(2, 0): 1.0, (0, 2): 1.0}), Jet(2, 2, {(1, 1): 1.0})])
-    found = characteristic_directions(LeadingTerm(2, part))
-    assert len(found) == 1
-    d = found[0]
-    assert abs(abs(d.v[0]) - 1.0) <= 1e-8
-    assert abs(d.lam - 1.0) <= 1e-8
-    assert d.residual <= 1e-8
-
-
-def test_binary_form_agrees_with_exact_solver_on_planar_part():
-    from shearbasins.directions import LeadingTerm, _binary_form_directions
-
-    lt = LeadingTerm(2, planar_part(1.0, 3.0))
-    exact = characteristic_directions(lt, names=("x", "y"))
-    binary = _binary_form_directions(lt)
-    # the isolated non-degenerate direction and the degenerate axis both appear
-    def signature(dirs):
-        return sorted((d.degenerate, round(abs(d.v[0]), 6), round(abs(d.lam), 6)) for d in dirs)
-
-    assert signature(binary) == signature(exact)
-
-
-def test_binary_form_reports_a_dicritical_part_as_one_family():
-    from shearbasins.directions import LeadingTerm
-
-    # P = (x + y) (x, y): every direction is characteristic
-    x, y = Jet.variable(2, 2, 0), Jet.variable(2, 2, 1)
-    found = characteristic_directions(LeadingTerm(2, JetMap([(x + y) * x, (x + y) * y])))
-    family = [d for d in found if d.family_dim == 1]
-    assert len(family) == 1
-    assert not family[0].degenerate
-    assert family[0].directors == pytest.approx((0.0,), abs=1e-12)
-    assert family[0].residual <= 1e-8
-    degenerate = [d for d in found if d.degenerate]
-    assert len(degenerate) == 1 and len(found) == 2
-    v = degenerate[0].v
-    assert abs(v[0] + v[1]) <= 1e-12  # [1:-1]
-    assert characteristic_set_dimension(found) == 2
-
-
-def test_binary_form_merges_a_quadruple_root():
-    from shearbasins.directions import LeadingTerm
-
-    # x P_2 - y P_1 = x y (y - 2x)^4: the roots are [0:1], [1:0] and [1:2] (four times)
-    x, y = Jet.variable(2, 5, 0), Jet.variable(2, 5, 1)
-    h = x * x * x * x + y * y * y * y
-    q = (y - 2 * x) * (y - 2 * x)
-    found = characteristic_directions(LeadingTerm(5, JetMap([h * x - x * q * q, h * y])))
-    slopes = sorted((d.v[1] / d.v[0] if abs(d.v[0]) > 1e-12 else math.inf for d in found), key=abs)
-    assert len(found) == 3
-    assert slopes[0] == 0 and abs(slopes[1] - 2) <= 1e-8 and slopes[2] == math.inf
-    assert all(d.residual <= 1e-8 for d in found)
+# parts the solver does not take, and the one degeneracy rule
 
 
 def test_non_diagonal_part_in_three_variables_is_unsupported():
-    from shearbasins.directions import LeadingTerm
-
+    """Only a monomial-diagonal part has a solver, in three variables as in
+    two: the planar part (x^2 + y^2, x y) raises too."""
     z, t, w = (Jet.variable(3, 2, i) for i in range(3))
-    part = JetMap([z * z + t * t, z * t, w * w])
-    with pytest.raises(UnsupportedDimensionError):
-        characteristic_directions(LeadingTerm(2, part))
+    x, y = Jet.variable(2, 2, 0), Jet.variable(2, 2, 1)
+    for part in (JetMap([z * z + t * t, z * t, w * w]), JetMap([x * x + y * y, x * y])):
+        with pytest.raises(UnsupportedDimensionError):
+            characteristic_directions(LeadingTerm(2, part))
 
 
-@pytest.mark.parametrize("part", ["diagonal", "non_diagonal"])
-def test_one_degeneracy_rule_for_both_solvers(part):
+def test_one_degeneracy_rule():
     """|lambda| <= DEGENERATE_TOL reports lambda 0, no directors and the residual
-    against 0, whether the exact torus solver or the binary form finds it."""
-    from shearbasins.directions import LeadingTerm, _residual
+    against 0: the torus [1:0] of (1e-9 x^2, 1e-9 x y) has lambda 1e-9."""
+    from shearbasins.directions import _residual
 
     x, y = Jet.variable(2, 2, 0), Jet.variable(2, 2, 1)
-    if part == "diagonal":  # the torus [1:0] has lambda 1e-9
-        components = [1e-9 * x * x, 1e-9 * x * y]
-    else:  # the root [1:0] of x P_2 - y P_1 has lambda 1e-9
-        components = [1e-9 * x * x + y * y, x * y]
-    lt = LeadingTerm(2, JetMap(components))
+    lt = LeadingTerm(2, JetMap([1e-9 * x * x, 1e-9 * x * y]))
     degenerate = [d for d in characteristic_directions(lt) if d.degenerate]
     assert degenerate
     for d in degenerate:

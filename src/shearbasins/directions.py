@@ -161,14 +161,16 @@ def direction(lt: LeadingTerm, v: tuple[complex, ...], lam: complex, **family) -
     |lam| <= DEGENERATE_TOL makes [v] degenerate: lambda 0, the residual
     against 0 and no directors.  Any other [v] gets the directors of the
     module docstring, with S the support of v and c the coefficient c_i of
-    its first index, sorted by real and then imaginary part."""
+    its first index, sorted by real and then imaginary part; x + 0.0 turns
+    a zero part -0.0 into +0.0."""
     if abs(lam) <= DEGENERATE_TOL:
         return CharacteristicDirection(v, 0j, True, (), _residual(lt.part, v, 0j), **family)
     coeffs = _monomial_diagonal(lt.part)[1]
     support = [i for i, x in enumerate(v) if x != 0]
     c = coeffs[support[0]]
     eigs = [(ci - c) / c for i, ci in enumerate(coeffs) if i not in support] + [0j] * (len(support) - 1)
-    directors = tuple(sorted(eigs, key=lambda z: (round(z.real, 10), round(z.imag, 10))))
+    directors = tuple(complex(z.real + 0.0, z.imag + 0.0)
+                      for z in sorted(eigs, key=lambda z: (round(z.real, 10), round(z.imag, 10))))
     return CharacteristicDirection(v, lam, False, directors, _residual(lt.part, v, lam), **family)
 
 

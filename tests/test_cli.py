@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import math
 import random
 
 import numpy as np
@@ -75,12 +76,12 @@ def test_jet_outputs_keep_their_bytes(tmp_path, capsys):
 # and residuals go through numpy's vector norm, whose dot product a different
 # BLAS build may sum in another order.
 DIRECTION_DIGESTS = {
-    ("--map", "F3"): "e5e82797e23b6e63144ad27b38f9dde8a269e9d0c465229dd4745e56a1ea594c",
-    ("--map", "G"): "4eb2d7679465ce9ab3b3bce27b63723e6ff9f325c51d553b2fd77903a3932135",
+    ("--map", "F3"): "65eb86015ce6b7672b452c9400fcbb674cdfb9a14ed5868ca5831b8e436e561d",
+    ("--map", "G"): "53b7f66c3b5aa5c10f681161b47c8c6d8d25f78f15e68ab07616d3d816f3ce1a",
     ("--map", "G", "--a", "1", "--b", "2", "--c", "5"):
-        "3e7845dc7542799596a0a61a8856ff3c45e13f9c8c3eeabe532a48eb1278e1dc",
+        "32dd7cd7a1c10f6a5d886103e1068642764f07d09eb95532b63b0811069ae933",
     ("--map", "FAMILY_K", "--k", "3", "--order", "12"):
-        "df953aa48c37000c8f165c5a21a2d2004cc48da1c8983f584a7af8f86daa9291",
+        "158e1ea4a79b191e6916f33ecdeee3a34fd365f0c9b5fa8a81dc3550dabe81b6",
     ("--map", "PROTO_1D"): "934ca66fe35aba6c2b2f3cd2bec870b1bd788e7c279fd12869d25091f61f10b0",
     ("--map", "PROTO_2D"): "cf4d826fa59aafc084f1dbc47086bf274c7079c03129940749fbec41d8e61470",
 }
@@ -248,6 +249,24 @@ def test_zero_weight_sum_leaves_the_planar_direction_without_a_director(capsys):
     assert "[1:0] is degenerate at a+b = 0" in out
     failed = [line.split()[1] for line in out.splitlines() if line.startswith("FAIL")]
     assert failed and all(name.startswith("dynamics.projection_statuses.") for name in failed)
+
+
+@pytest.mark.parametrize("argv", [("--map", "F3"), ("--map", "G"), ("--map", "G", "--a", "1", "--b", "2", "--c", "5"),
+                                  ("--map", "FAMILY_K", "--k", "3")])
+def test_directions_hold_no_negative_zero(capsys, tmp_path, argv):
+    """A zero part of a director is +0.0, in the text and in the JSON."""
+    out_path = tmp_path / "d.json"
+    code, out, _ = run(capsys, "directions", *argv, "--json-out", str(out_path))
+    assert code == 0 and "directors=" in out and "-0j" not in out
+
+    def negative_zeros(x):
+        if isinstance(x, dict):
+            return sum(negative_zeros(v) for v in x.values())
+        if isinstance(x, list):
+            return sum(negative_zeros(v) for v in x)
+        return isinstance(x, float) and x == 0 and math.copysign(1.0, x) < 0
+
+    assert negative_zeros(json.loads(out_path.read_text())) == 0
 
 
 @pytest.mark.parametrize("k", [4, 5])

@@ -85,7 +85,9 @@ def test_batch_norm_is_bitwise_the_scalar_norm(points):
     """The square root of the batch engine's squared norm of every element is
     ``_norm`` of it, bit for bit."""
     coords = [np.array([p[i] for p in points], dtype=complex) for i in range(len(points[0]))]
-    for p, got in zip(points, np.sqrt(dynamics._batch_norm(coords))):
+    with np.errstate(over="ignore"):  # classify_batch's own errstate
+        squared = dynamics._batch_norm(coords)
+    for p, got in zip(points, np.sqrt(squared)):
         want = dynamics._norm(p)
         assert math.isnan(got) and math.isnan(want) or struct.pack("<d", got) == struct.pack("<d", want), p
 
@@ -398,10 +400,16 @@ def test_raster_deterministic_across_workers():
     assert np.array_equal(r1.iterations, r2.iterations)
 
 
+def band_rows(args) -> list[int]:
+    """The rows of the slice that a ``_classify_band`` argument tuple covers."""
+    *_, first, rows, step = args
+    return list(range(first, rows, step))
+
+
 @pytest.fixture
 def serial_pool(monkeypatch):
     """Stands in for ProcessPoolExecutor: starts no process, and records the
-    max_workers of each pool and the row ranges of the bands it receives."""
+    max_workers of each pool and the rows of the bands it receives."""
     pools = []
 
     class SerialPool:
@@ -411,7 +419,7 @@ def serial_pool(monkeypatch):
 
         def map(self, fn, items):
             items = list(items)
-            self.bands = [(lo, hi) for *_, lo, hi in items]
+            self.bands = [band_rows(args) for args in items]
             return map(fn, items)
 
         def shutdown(self):
@@ -433,30 +441,43 @@ def test_sample_slice_starts_at_most_one_worker_per_usable_cpu(monkeypatch, seri
     assert np.array_equal(serial.iterations, capped.iterations)
 
 
-def test_bands_are_sized_by_pixel_count(monkeypatch, serial_pool):
-    """Bands are contiguous, cover the computed rows and are sized by their
-    pixel count: the top half of a conjugation-symmetric slice, all rows of
-    an asymmetric one."""
+@pytest.mark.parametrize("workers", [2, 3])
+def test_each_worker_takes_every_w_th_computed_row(monkeypatch, serial_pool, workers):
+    """w workers take one band each, worker k the computed rows k, k + w, ...:
+    the top half of a conjugation-symmetric slice, all rows of an asymmetric
+    one.  The bands are disjoint, cover the computed rows, and give the
+    serial codes and iterations."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(4)), raising=False)
     serial_bands = []
     classify_band = dynamics._classify_band
     monkeypatch.setattr(dynamics, "_classify_band",
-                        lambda args: serial_bands.append(args[3:]) or classify_band(args))
-    # 32x32 is verify's determinism raster: two processes must still share
-    # at least two bands; 400x400 is the benchmark's two-worker raster; an
-    # asymmetric v_range computes every row
-    for side, v_range, rows, parallel_bands in ((32, (-1.0, 1.0), 16, 2), (400, (-1.0, 1.0), 200, 8),
-                                                (32, (-1.0, 0.9), 32, 2), (400, (-1.0, 0.9), 400, 8)):
+                        lambda args: serial_bands.append(band_rows(args)) or classify_band(args))
+    # 32x32 is verify's determinism raster, 400x400 the benchmark's two-worker
+    # raster; an asymmetric v_range computes every row
+    for side, v_range, rows in ((32, (-1.0, 1.0), 16), (400, (-1.0, 1.0), 200),
+                                (32, (-1.0, 0.9), 32), (400, (-1.0, 0.9), 400)):
         serial_bands.clear()
         serial, _, _ = quad_raster(width=side, height=side, max_iter=60, workers=1, v_range=v_range)
-        assert serial_bands == [(0, rows)]
-        pooled, _, _ = quad_raster(width=side, height=side, max_iter=60, workers=2, v_range=v_range)
+        assert serial_bands == [list(range(rows))]
+        pooled, _, _ = quad_raster(width=side, height=side, max_iter=60, workers=workers, v_range=v_range)
         pool = serial_pool[-1]
-        assert pool.max_workers == 2
-        assert len(pool.bands) == parallel_bands
-        assert [lo for lo, _ in pool.bands] == [0] + [hi for _, hi in pool.bands[:-1]]
-        assert pool.bands[-1][1] == rows
+        assert pool.max_workers == workers
+        assert pool.bands == [list(range(k, rows, workers)) for k in range(workers)]
+        assert sorted(row for band in pool.bands for row in band) == list(range(rows))
         assert np.array_equal(serial.codes, pooled.codes)
         assert np.array_equal(serial.iterations, pooled.iterations)
+
+
+def test_no_more_workers_than_computed_rows(monkeypatch, serial_pool):
+    """Fewer computed rows than workers start one process per row, each with
+    one row; a single computed row is classified in this process."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(4)), raising=False)
+    for height, v_range in ((3, (-1.0, 1.0)), (3, (-1.0, 0.9)), (1, (-1.0, 1.0))):
+        serial, _, _ = quad_raster(width=8, height=height, max_iter=60, workers=1, v_range=v_range)
+        pooled, _, _ = quad_raster(width=8, height=height, max_iter=60, workers=4, v_range=v_range)
+        assert np.array_equal(serial.codes, pooled.codes)
+        assert np.array_equal(serial.iterations, pooled.iterations)
+    assert [(pool.max_workers, pool.bands) for pool in serial_pool] == [(2, [[0], [1]]), (3, [[0], [1], [2]])]
 
 
 def test_raster_codes_form_a_trichotomy():
@@ -540,11 +561,11 @@ def test_mirrored_raster_is_the_full_computation(monkeypatch, name):
     cfg = OrbitConfig(max_iter=800, eps_converged=0.05, record_stride=1000)
     bands = []
     classify_band = dynamics._classify_band
-    monkeypatch.setattr(dynamics, "_classify_band", lambda args: bands.append(args[3:]) or classify_band(args))
+    monkeypatch.setattr(dynamics, "_classify_band", lambda args: bands.append(band_rows(args)) or classify_band(args))
     raster = sample_slice(map_obj, spec, cfg)
     codes, iters = full_height(map_obj, spec, cfg)
     rows = (spec.height + 1) // 2 if name in MIRRORED_SLICES else spec.height
-    assert bands == [(0, rows)]
+    assert bands == [list(range(rows))]
     assert np.array_equal(raster.codes, codes)
     assert np.array_equal(raster.iterations, iters)
 
@@ -740,6 +761,38 @@ def test_classify_batch_decides_norms_at_the_thresholds_like_iterate():
         [(UNDECIDED, 1)] + [(UNDECIDED, 2)] * 3,
         [(ESCAPED, 1)] * 4,
     ]
+
+
+class _Rotation:
+    """z -> i z in every coordinate: every point moves, and its squared norm
+    repeats bit for bit."""
+
+    def __call__(self, p):
+        return tuple(1j * x for x in p)
+
+    def eval_batch(self, coords):
+        return [1j * c for c in coords]
+
+
+def test_the_repeated_squared_norm_gate_decides_only_stationary_points():
+    """The batch engine gates an element whose squared norm repeats, and the
+    rule's exact q == p test decides it: a rotation, which moves every point
+    and repeats every squared norm, runs to the budget; a fixed point is
+    decided at index 1, UNDECIDED off the origin and CONVERGED inside the
+    eps ball, also when its zeros change sign."""
+    cfg = OrbitConfig(max_iter=300, eps_converged=1e-3, record_stride=1000)
+    starts = [(0.5 + 0j, 0j), (0.3 + 0.4j, -0.1j), (-2 + 7j, 1e-3 + 0j), (1e-3 + 0j, 0j)]
+    coords = [np.array([p[i] for p in starts]) for i in range(2)]
+    assert np.array_equal(dynamics._batch_norm(_Rotation().eval_batch(coords)), dynamics._batch_norm(coords))
+    statuses = _agree_with_iterate(_Rotation(), starts, cfg)
+    assert [(s.kind, s.index, s.note) for s in statuses] == [(UNDECIDED, 300, "")] * 4
+
+    for target, status in (((0.25 + 0.1j, 0.5j), (UNDECIDED, 1, "stationary orbit (fixed point off the origin)")),
+                           ((1e-4 + 0j, complex(-0.0, 2e-4)), (CONVERGED, 1, "stationary inside the eps ball"))):
+        # the target with the sign of each zero part flipped
+        flipped = tuple(complex(x.real or -x.real, x.imag or -x.imag) for x in target)
+        statuses = _agree_with_iterate(_Constant(target), [target, flipped], cfg)
+        assert [(s.kind, s.index, s.note) for s in statuses] == [status] * 2
 
 
 class _Switch:

@@ -1,9 +1,12 @@
 """Command-line surface: expansion printing, verification, direction reports,
 orbit dumps and basin rasters.
 
-A verify row is its check's own row: a check that returns a report of
-several rows contributes each of them as it stands, named after the
-check (``dynamics.projection_statuses.attracting_side``).
+Every verify row states a claim that can fail about the verified word,
+its projected map or a prototype; a fact that holds unconditionally, such
+as whether the parameters lie in the chosen regime, is a note of the report.
+A check that returns a report of several rows contributes each of them as
+it stands, named after the check
+(``dynamics.projection_statuses.attracting_side``).
 Exit codes: 0 all good, 1 a verification check failed, 2 invalid input.
 All randomized checks draw from one generator seeded by --seed, so every
 report, CSV and raster is byte-reproducible for a fixed configuration.
@@ -26,22 +29,17 @@ from . import dynamics as dyn
 from .jets import DEFAULT_ORDER, DimensionError, DomainError, Jet, JetMap, format_jet
 from .maps import (
     MapWord,
-    Prototype,
     family_in_regime,
     map_from_spec,
     planar_word,
     verify_normal_form,
 )
-from .report import SKIP, WARN, Report
+from .report import SKIP, Report
 
 MAP_CHOICES = ("F3", "G", "PROTO_1D", "PROTO_2D", "FAMILY_K")
 
 # every row of verify, in order; a check's sub-report rows appear under its prefix
 VERIFY_CHECK_NAMES = (
-    "jets.ring_axioms",
-    "jets.compose_associativity",
-    "jets.eval_compatibility",
-    "jets.euler_identity",
     "maps.normal_form.coeff_F1",
     "maps.normal_form.coeff_F2",
     "maps.normal_form.coeff_Fw",
@@ -56,13 +54,10 @@ VERIFY_CHECK_NAMES = (
     "directions.residuals",
     "directions.scaling_covariance",
     "directions.euler",
-    "directions.regime_advisory",
     "dynamics.fiber_invariance.zeta_trace",
     "dynamics.fiber_invariance.status",
     "dynamics.petal_rate",
-    "dynamics.raster_determinism",
     "dynamics.trace_1d3d.projected_orbit",
-    "dynamics.trace_1d3d.frozen_w_model",
     "dynamics.projection_statuses.status_agreement",
     "dynamics.projection_statuses.attracting_side",
     "dynamics.projection_statuses.repelling_side",
@@ -81,101 +76,7 @@ _VAR_NAMES = {
 
 
 # ----------------------------------------------------------------------
-# small random helpers for the in-CLI property checks
-
-
-def _random_dyadic_jet(rng: random.Random, k: int, order: int, n_terms: int = 6) -> Jet:
-    """Coefficients m/16 with small integer m: products stay exact in doubles."""
-    exps = []
-    for _ in range(n_terms):
-        while True:
-            e = tuple(rng.randint(0, order) for _ in range(k))
-            if sum(e) <= order:
-                exps.append(e)
-                break
-    terms = {}
-    for e in exps:
-        m = rng.randint(-32, 32) or 1
-        terms[e] = complex(m / 16.0, (rng.randint(-32, 32) or 1) / 16.0)
-    return Jet(k, order, terms)
-
-
-def _random_origin_map(rng: random.Random, k: int, order: int) -> JetMap:
-    """A map fixing the origin whose coefficients are +-1 +- i, the signs of a
-    dyadic jet's: composing three of them at order 5 in 3 variables gives
-    Gaussian integers far below 2^53, so both association orders are exact."""
-    comps = []
-    for _ in range(k):
-        jet = _random_dyadic_jet(rng, k, order, n_terms=5)
-        comps.append(Jet(k, order, {e: complex(math.copysign(1, c.real), math.copysign(1, c.imag))
-                                    for e, c in jet.terms.items() if any(e)}))
-    return JetMap(comps)
-
-
-# ----------------------------------------------------------------------
 # verification suite
-
-
-def _check_jets(report: Report, rng: random.Random) -> None:
-    worst = 0.0
-    for _ in range(12):
-        f = _random_dyadic_jet(rng, 3, 6)
-        g = _random_dyadic_jet(rng, 3, 6)
-        h = _random_dyadic_jet(rng, 3, 6)
-        worst = max(worst, ((f * g) * h).max_abs_diff(f * (g * h)))
-        worst = max(worst, (f * g).max_abs_diff(g * f))
-        worst = max(worst, (f * (g + h)).max_abs_diff(f * g + f * h))
-    report.add("jets.ring_axioms", worst == 0.0, defect=worst, tolerance=0.0,
-               note="dyadic coefficients, exact equality")
-
-    worst = 0.0
-    for _ in range(6):
-        a = _random_origin_map(rng, 3, 5)
-        b = _random_origin_map(rng, 3, 5)
-        c = _random_origin_map(rng, 3, 5)
-        worst = max(worst, (a.compose(b).compose(c)).max_abs_diff(a.compose(b.compose(c))))
-    report.add("jets.compose_associativity", worst == 0.0, defect=worst, tolerance=0.0)
-
-    order = 6
-    radius = 0.1
-    worst_ratio = 0.0
-    for _ in range(20):
-        f = _random_dyadic_jet(rng, 3, order)
-        g = _random_dyadic_jet(rng, 3, order)
-        p = dyn.sample_ball_point(rng, 3, radius * math.sqrt(3))
-        add_defect = abs((f + g)(p) - (f(p) + g(p)))
-        worst_ratio = max(worst_ratio, add_defect / 1e-12)
-        bound = 10.0 * max(f.l1_norm() * g.l1_norm(), 1.0) * radius ** (order + 1)
-        mul_defect = abs((f * g)(p) - f(p) * g(p))
-        worst_ratio = max(worst_ratio, mul_defect / bound)
-        f0 = f - Jet.constant(3, order, f.coefficient((0, 0, 0)))
-        exp_defect = abs(f0.exp()(p) - np.exp(f0(p)))
-        exp_bound = 10.0 * math.exp(f0.l1_norm()) * max(f0.l1_norm(), 1.0) ** (order + 1) * radius ** (order + 1)
-        worst_ratio = max(worst_ratio, exp_defect / exp_bound)
-    report.add("jets.eval_compatibility", worst_ratio <= 1.0, defect=worst_ratio,
-               tolerance=1.0, note="defect / analytic truncation bound")
-
-    worst = 0.0
-    for _ in range(20):
-        d = rng.randint(2, 4)
-        comps = []
-        for _ in range(3):
-            terms = {}
-            for _ in range(4):
-                while True:
-                    e = tuple(rng.randint(0, d) for _ in range(3))
-                    if sum(e) == d:
-                        break
-                terms[e] = complex(rng.uniform(-1, 1), rng.uniform(-1, 1))
-            comps.append(Jet(3, d, terms))
-        part = JetMap(comps)
-        jac = part.jacobian()
-        v = dyn.sample_ball_point(rng, 3, 1.0)
-        dp_v = np.array([[jac[i][j](v) for j in range(3)] for i in range(3)], dtype=complex)
-        lhs = dp_v @ np.array(v)
-        rhs = d * np.array(part(v))
-        worst = max(worst, float(np.max(np.abs(lhs - rhs))))
-    report.add("jets.euler_identity", worst <= 1e-10, defect=worst, tolerance=1e-10)
 
 
 def _check_maps(report: Report, word: MapWord, rng: random.Random) -> None:
@@ -261,11 +162,10 @@ def _check_directions(report: Report, word: MapWord, rng: random.Random) -> None
     director = ("none, as [1:0] is degenerate at a+b = 0" if value is None
                 else f"{'(c-2a)/(2a)' if a == b else '(c-a-b)/(a+b)'} = {value:g}")
     if family_in_regime((a, b), c):
-        report.add("directions.regime_advisory", True, note=f"chosen regime holds; planar director {director} > 0")
+        report.notes.append(f"chosen regime holds; planar director {director} > 0")
     else:
-        report.add("directions.regime_advisory", True, status=WARN,
-                   note=f"outside chosen regime (need a=b>0, c>2a); director {director}"
-                        + (" is not strictly positive" if value is not None and value <= 0 else ""))
+        report.notes.append(f"outside chosen regime (need a=b>0, c>2a); director {director}"
+                            + (" is not strictly positive" if value is not None and value <= 0 else ""))
 
     tags = _tags_beyond_hyperplanes(found_f)
     if tags:
@@ -291,21 +191,6 @@ def _check_dynamics(report: Report, word: MapWord, rng: random.Random) -> None:
         report.add("dynamics.petal_rate", True, status=SKIP,
                    note="petal on the positive real axis needs a + b > 0")
 
-    proto = Prototype("quadratic_1d", 1.0)
-    spec = dyn.SliceSpec(base=(0j,), dir1=(1 + 0j,), dir2=(1j,),
-                         u_range=(-1.2, 0.4), v_range=(-0.8, 0.8), width=32, height=32)
-    cfg = dyn.OrbitConfig(max_iter=1500)
-    r1 = dyn.sample_slice(proto, spec, cfg, workers=1)
-    r2 = dyn.sample_slice(proto, spec, cfg, workers=1)
-    r3 = dyn.sample_slice(proto, spec, cfg, workers=2)
-    same = (
-        np.array_equal(r1.codes, r2.codes)
-        and np.array_equal(r1.codes, r3.codes)
-        and np.array_equal(r1.iterations, r3.iterations)
-    )
-    report.add("dynamics.raster_determinism", same,
-               note="32x32 slice, repeated run and 1 vs 2 workers byte-identical")
-
     report.extend("dynamics.trace_1d3d", dyn.check_trace_consistency(word))
     report.extend("dynamics.projection_statuses", dyn.check_projection_statuses(word, samples=20, rng=rng))
     report.extend("dynamics.product_recursion", dyn.check_product_recursion(samples=50, rng=rng))
@@ -320,7 +205,6 @@ def run_verify_suite(word: MapWord, seed: int = 0) -> Report:
         "convention: zeta denotes the product z*t throughout, matching the projection "
         "(z, t, w) -> (z*t, w); readings based on z*w are not equivalent and are not used"
     )
-    _check_jets(report, rng)
     _check_maps(report, word, rng)
     _check_directions(report, word, rng)
     _check_dynamics(report, word, rng)

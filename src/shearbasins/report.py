@@ -7,7 +7,6 @@ from dataclasses import dataclass, field, replace
 PASS = "pass"
 FAIL = "fail"
 SKIP = "skip"
-WARN = "warn"
 
 
 @dataclass

@@ -124,8 +124,7 @@ def _check_directions(report: Report, word: MapWord, rng: random.Random) -> None
     (a, b), c = word.factors[0].weights, word.factors[0].w_coeff
     lt_f = dirs_mod.leading_term(word.jet(6))
     found_f = dirs_mod.characteristic_directions(lt_f, names=("z", "t", "w"))
-    planar = planar_word(word)
-    lt_g = dirs_mod.leading_term(planar.jet(4))
+    lt_g = dirs_mod.leading_term(planar_word(word).jet(4))
     found_g = dirs_mod.characteristic_directions(lt_g, names=("zeta", "w"))
 
     worst = max(d.residual for d in found_f + found_g)
@@ -158,7 +157,7 @@ def _check_directions(report: Report, word: MapWord, rng: random.Random) -> None
     report.add("directions.euler", worst <= 1e-8, defect=worst, tolerance=1e-8,
                note="DP(v) v = r lambda v on every non-degenerate direction")
 
-    value = _planar_director(planar)
+    value = _axis_director(found_g)
     director = ("none, as [1:0] is degenerate at a+b = 0" if value is None
                 else f"{'(c-2a)/(2a)' if a == b else '(c-a-b)/(a+b)'} = {value:g}")
     if family_in_regime((a, b), c):
@@ -261,12 +260,13 @@ def _build_evaluator(ns, family: str | None = None):
     return map_from_spec({"family": family or ns.map, **spec})
 
 
-def _planar_director(planar: MapWord) -> float | None:
-    """(c - a - b)/(a + b), the director of G at [1:0], read off the twist of the
-    zeta-word; None at a + b = 0, where [1:0] is degenerate and has no director."""
-    twist = planar.factors[0]
-    total = twist.weights[0]
-    return (twist.w_coeff - total) / total if total else None
+def _axis_director(found) -> float | None:
+    """The director of the planar direction [1:0], (c - a - b)/(a + b) for G, read
+    off its record; None where [1:0] is degenerate (a + b = 0) and has no director.
+    Every characteristic set in two variables holds [1:0], as a direction of its
+    own or as the degenerate hyperplane {w = 0}."""
+    axis = next(d for d in found if d.v == (1, 0))
+    return None if axis.degenerate else axis.directors[0].real
 
 
 def _tags_beyond_hyperplanes(found) -> list[str]:
@@ -337,17 +337,10 @@ def cmd_directions(ns) -> int:
         if tags:
             warnings.append("directions beyond the degenerate coordinate hyperplanes: " + ", ".join(tags))
     elif ns.map == "G":
-        expected_dir = _planar_director(evaluator)
-        isolated = [d for d in found if not d.degenerate and d.family_dim == 0]
-        hit = [
-            d for d in isolated if expected_dir is not None
-            and abs(abs(d.v[0]) - 1) < 1e-8 and d.directors and abs(d.directors[0] - expected_dir) < 1e-8
-        ]
-        if expected_dir is None:
+        director = _axis_director(found)
+        if director is None:
             warnings.append("a+b = 0: the direction [1:0] is degenerate and has no director")
-        elif not hit:
-            warnings.append(f"expected the isolated direction [1:0] with director {expected_dir:g}")
-        if len([d for d in found if not d.degenerate]) > len(hit):
+        if len([d for d in found if not d.degenerate]) > (director is not None):
             warnings.append("additional non-degenerate directions present")
     for w in warnings:
         print(f"WARN  {w}")
@@ -378,9 +371,9 @@ def cmd_orbit(ns) -> int:
     if orbit.status.note:
         print(f"note: {orbit.status.note}")
     print(f"final norm: {orbit.final_norm:.6e} after index {orbit.indices[-1]}")
-    if orbit.zeta_trace is not None and orbit.indices[-1] > 0:
-        n_last = orbit.indices[-1]
-        print(f"n*zeta_n estimate: {n_last * orbit.zeta_trace[-1].real:.4f} (n = {n_last})")
+    if len(orbit.final_point) == 3 and orbit.indices[-1] > 0:
+        n_last, (z, t, _) = orbit.indices[-1], orbit.final_point
+        print(f"n*zeta_n estimate: {n_last * (z * t).real:.4f} (n = {n_last})")
     try:
         tangent, stable = dyn.estimate_tangent(orbit)
         rep = ", ".join(f"{x:.4g}" for x in tangent)

@@ -228,16 +228,19 @@ def test_directions_planar_with_unequal_weights(capsys, tmp_path):
 
 def test_zero_weight_sum_leaves_the_planar_direction_without_a_director(capsys):
     """At a + b = 0 the direction [1:0] of G is degenerate.  directions warns
-    and exits 0; verify warns and exits 1 on its own failing orbit rows."""
+    and exits 0; verify notes it, skips the rows that need a petal of zeta
+    with that premise, and exits 0."""
     code, out, err = run(capsys, "directions", "--map", "G", "--a", "1", "--b", "-1")
     assert (code, err) == (0, "")
     assert "WARN  a+b = 0: the direction [1:0] is degenerate and has no director" in out
     assert out.count("  DEGENERATE") == 2 and "NON_DEGENERATE" not in out
     code, out, err = run(capsys, "verify", "--a", "1", "--b", "-1")
-    assert (code, err) == (1, "")
+    assert (code, err) == (0, "")
     assert "[1:0] is degenerate at a+b = 0" in out
-    failed = [line.split()[1] for line in out.splitlines() if line.startswith("FAIL")]
-    assert failed and all(name.startswith("dynamics.projection_statuses.") for name in failed)
+    skipped = [line.split()[1] for line in out.splitlines() if line.startswith("SKIP  dynamics.")]
+    assert skipped == ["dynamics.petal_rate"] + [
+        f"dynamics.projection_statuses.{row}" for row in ("attracting_side", "repelling_side", "both_classes_observed")]
+    assert out.count("(a + b = 0: zeta has no quadratic petal)") == 3
 
 
 @pytest.mark.parametrize("argv", [("--map", "F3"), ("--map", "G"), ("--map", "G", "--a", "1", "--b", "2", "--c", "5"),
@@ -444,6 +447,19 @@ def test_basin_bad_map_is_exit_two(capsys):
 def test_basin_bad_resolution_is_exit_two(capsys):
     code, _, err = run(capsys, "basin", "--map", "PROTO_1D", "--res", "0", "10")
     assert code == 2
+
+
+@pytest.mark.parametrize("bounds", [("0", "0", "0", "0"), ("0", "0", "-1", "1"), ("-1", "1", "0.5", "0.5")])
+def test_basin_zero_width_slice_is_exit_two(tmp_path, capsys, bounds):
+    """A range of lo = hi gives every pixel of an axis one start point, so an
+    axis of more than one pixel needs lo != hi; a one-pixel axis may have it."""
+    out_path = tmp_path / "basin.pgm"
+    argv = ("basin", "--map", "PROTO_1D", "--max-iter", "10", "--out", str(out_path), "--slice", *bounds)
+    code, _, err = run(capsys, *argv, "--res", "4", "4")
+    assert code == 2 and "has zero width" in err
+    assert not out_path.exists()
+    code, _, err = run(capsys, *argv, "--res", "1", "1")
+    assert (code, err) == (0, "")
 
 
 @pytest.mark.parametrize("workers", ["0", "-1", "-3"])

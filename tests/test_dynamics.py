@@ -14,6 +14,7 @@ import os
 import random
 import struct
 import sys
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -140,7 +141,7 @@ def test_slow_parabolic_orbit_stays_undecided_with_defaults():
     cfg = OrbitConfig(max_iter=20_000, record_stride=100)
     orbit = iterate(word, (0.1, 0.1, 0.05), cfg)
     assert orbit.status.kind == UNDECIDED
-    zs = orbit.zeta_trace
+    zs = [p[0] * p[1] for p in orbit.points]
     assert all(b.real < a.real for a, b in zip(zs, zs[1:]))
     assert abs(orbit.final_point[2]) < 1e-3  # w collapses much faster than z, t
 
@@ -352,6 +353,93 @@ def test_trace_consistency_fails_for_a_mutated_weight(monkeypatch):
     assert not proj.ok and proj.defect > proj.tolerance
 
 
+def recorded_products(word, n_steps):
+    """The index list and the products z*t of the stride-1 orbit from
+    (0.1, 0.1, 0) that petal_rate and check_trace_consistency step through."""
+    s = math.sqrt(0.01)
+    cfg = OrbitConfig(max_iter=n_steps, eps_converged=1e-15, escape_radius=10.0, record_stride=1)
+    orbit = iterate(word, (s, s, 0.0), cfg)
+    return orbit.indices, [p[0] * p[1] for p in orbit.points]
+
+
+@pytest.mark.parametrize("params, n_last", [((1.0, 1.0, 3.0), 10_000), ((1.0, 2.0, 4.0), 10_000),
+                                            ((-1.0, -1.0, 3.0), 48)])
+def test_observed_steps_equal_the_recorded_orbit(params, n_last):
+    """petal_rate and the projected_orbit defect, which observe each step of
+    their orbit, equal bit for bit the same readings of the recorded stride-1
+    orbit; at (-1, -1, 3) the petal orbit escapes at n = 48."""
+    word = build_F(Params(*params))
+    indices, zs = recorded_products(word, 10_000)
+    assert indices[-1] == n_last
+    want = {
+        "n": indices[-1],
+        "n_zeta": indices[-1] * zs[-1].real,
+        "real": all(z.imag == 0.0 for z in zs),
+        "positive": all(z.real > 0.0 for z in zs),
+        "strictly_decreasing": all(b.real < a.real for a, b in zip(zs, zs[1:])),
+    }
+    assert repr(petal_rate(word, zeta0=0.01, n_steps=10_000)) == repr(want)
+
+    planar = planar_word(word)
+    q, worst = (0.01 + 0j, 0j), 0.0
+    for z in recorded_products(word, 1500)[1][1:]:
+        q = planar(q)
+        worst = max(worst, abs(z - q[0]))
+    assert struct.pack("<d", check_trace_consistency(word)["projected_orbit"].defect) == struct.pack("<d", worst)
+
+
+@pytest.mark.parametrize("seed", range(10))
+def test_fiber_trace_by_position_is_the_maximum_over_shared_indices(monkeypatch, seed):
+    """check_fiber_invariance compares the two orbits of a pair by position;
+    that equals the maximum over the indices that both record, in ascending order."""
+    orbits = []
+    monkeypatch.setattr(dynamics, "iterate", lambda *args: orbits.append(iterate(*args)) or orbits[-1])
+    report = check_fiber_invariance(build_F(P113), samples=10, rng=random.Random(seed))
+    worst = 0.0
+    for o1, o2 in zip(orbits[::2], orbits[1::2]):
+        trace1 = {n: p[0] * p[1] for n, p in zip(o1.indices, o1.points)}
+        trace2 = {n: p[0] * p[1] for n, p in zip(o2.indices, o2.points)}
+        worst = max(worst, max(abs(trace1[n] - trace2[n]) for n in sorted(set(trace1) & set(trace2))))
+    assert len(orbits) == 20
+    assert struct.pack("<d", report["zeta_trace"].defect) == struct.pack("<d", worst)
+
+
+def traced_peak(fn) -> int:
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_observed_orbits_keep_constant_memory():
+    """petal_rate's 10 000 steps and check_trace_consistency's 1 500 keep no
+    point per step; the recorded stride-1 orbits took 2.4 MB and 0.28 MB."""
+    word = build_F(P113)
+    word((0.1, 0.1, 0.0))  # compiles the step outside the trace
+    assert traced_peak(lambda: petal_rate(word, zeta0=0.01, n_steps=10_000)) < 100_000
+    assert traced_peak(lambda: check_trace_consistency(word)) < 200_000
+
+
+@pytest.mark.parametrize("params, skipped", [
+    ((-1.0, -1.0, -3.0), []),
+    ((1.0, -2.0, 3.0), ["attracting_side", "both_classes_observed"]),
+    ((-1.0, -1.0, 3.0), ["attracting_side", "both_classes_observed"]),
+    ((1.0, -1.0, 3.0), ["attracting_side", "repelling_side", "both_classes_observed"]),
+])
+def test_projection_status_probes_follow_the_petal(params, skipped):
+    """The side probes stand on the real ray of sign(a + b); a row whose
+    premise fails (a + b = 0, or c/(a + b) <= 0 for the attracting side) is
+    skipped with the premise as its note."""
+    report = check_projection_statuses(build_F(Params(*params)), samples=20, rng=random.Random(0))
+    assert report.passed
+    assert [c.name for c in report.checks if c.status == "skip"] == skipped
+    assert all(("a + b = 0" if params[0] + params[1] == 0 else "<= 0") in report[name].note for name in skipped)
+    if not skipped:
+        assert report["attracting_side"].note.startswith("x=-0.02: planar CONVERGED")
+
+
 # ----------------------------------------------------------------------
 # rasters
 
@@ -536,7 +624,6 @@ MIRRORED_SLICES = {
     "FAMILY_K affine": (build_family(3, (1.0, 1.0, 1.0), 4.0), _affine(*_K3_SLICE, u_range=(-1.5, 0.4))),
     "PROTO_1D": (QUAD, _affine((0j,), (1 + 0j,), (1j,), v_range=(-1.0, 1.0), height=15)),
     "PROTO_2D lifted": (Prototype("product_2d"), _lifted("pos", dim=2, w_fix=0j, height=9)),
-    "degenerate v_range": (_F3, _lifted("pos", v_range=(-0.0, 0.0), height=6)),
 }
 # slices whose rows are all computed
 FULL_SLICES = {

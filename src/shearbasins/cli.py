@@ -178,7 +178,8 @@ def _check_dynamics(report: Report, word: MapWord, rng: random.Random) -> None:
     total = sum(word.factors[0].weights)
     report.extend("dynamics.fiber_invariance", dyn.check_fiber_invariance(word, samples=10, rng=rng))
 
-    if total > 0:
+    # a + b within DEGENERATE_TOL of 0 is 0, as for the direction record and the side probes
+    if total > dirs_mod.DEGENERATE_TOL:
         rate = dyn.petal_rate(word, zeta0=0.01, n_steps=10_000)
         target = 1.0 / total
         in_band = abs(rate["n_zeta"] - target) <= 0.15 * target

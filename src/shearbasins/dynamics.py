@@ -31,12 +31,12 @@ import cmath
 import math
 import os
 import random
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass
 from typing import Callable, Protocol, Sequence
 
 import numpy as np
 
+from .directions import DEGENERATE_TOL
 from .jets import DimensionError, DomainError
 from .maps import MapWord, Prototype, planar_word, project_pi, push_forward
 from .report import SKIP, Report
@@ -169,11 +169,11 @@ def iterate(evaluator: Callable, p0: Sequence[complex], cfg: OrbitConfig | None 
         if advance is not None:
             # the next window close, record index or max_iter
             stop = min(n - n % _WINDOW + _WINDOW, n - n % stride + stride, max_iter)
-            p, q, n, cur_block_max = advance(p, n, stop, eps, radius, cur_block_max)
+            p, q, n, cur_block_max, nrm = advance(p, n, stop, eps, radius, cur_block_max)
         if q is None:
             n += 1
             q = evaluator(p)
-        nrm = norm(q)
+            nrm = norm(q)
         if nrm > cur_block_max:
             cur_block_max = nrm
         if n % _WINDOW == 0:
@@ -356,6 +356,8 @@ def check_projection_statuses(word: MapWord, samples: int = 50, rng=None) -> Rep
     z*t with G's orbit.  The side probes stand on the real ray of
     sign(a + b); a probe row whose premise fails (a + b = 0 for both,
     c/(a + b) <= 0 for the attracting side) is skipped with the premise.
+    a + b counts as 0 where the direction record calls [1:0] degenerate,
+    |a + b| <= ``DEGENERATE_TOL``.
     """
     rng = rng or random.Random(0)
     cfg = OrbitConfig(max_iter=20_000, eps_converged=0.02, record_stride=10_000)
@@ -399,7 +401,7 @@ def check_projection_statuses(word: MapWord, samples: int = 50, rng=None) -> Rep
     # lies on the real ray of sign(a + b); w decays along it only when c/(a + b) > 0
     total, c = sum(word.factors[0].weights), word.factors[0].w_coeff
     side = -1.0 if total < 0 else 1.0
-    no_petal = "a + b = 0: zeta has no quadratic petal" if total == 0 else None
+    no_petal = "a + b = 0: zeta has no quadratic petal" if abs(total) <= DEGENERATE_TOL else None
     premise = no_petal or (f"c/(a + b) = {c / total:g} <= 0: w does not decay along the petal"
                            if c / total <= 0 else None)
     for name, x, skip in (("attracting_side", side * radius / 4, premise), ("repelling_side", -side * 0.01, no_petal)):
@@ -674,8 +676,13 @@ def classify_batch(map_obj: BatchMap, coords: Sequence[np.ndarray],
     sqrt(s).  One ``np.errstate``, the map's steps included, lets overflow
     and nan pass as escapes.  How elements are grouped into batches does
     not change the outcome.
+
+    The start arrays are read in place, not copied (complex arrays that
+    are contiguous are only raveled), and may share memory, as a lift's
+    (s, s, w) does: neither the map's batch step nor this loop writes into
+    its inputs, and decided elements leave through new arrays.
     """
-    p = [np.array(c, dtype=complex).ravel() for c in coords]
+    p = [np.asarray(c, dtype=complex).ravel() for c in coords]
     # frees start arrays that the caller does not keep
     shape, coords = np.shape(coords[0]), None
     codes = np.full(p[0].size, CODE_UNDECIDED, dtype=np.uint8)
@@ -747,6 +754,14 @@ def _computed_rows(map_obj: BatchMap, spec: SliceSpec) -> int:
     return (spec.height + 1) // 2 if mirrored else spec.height
 
 
+def _start_pool(workers: int):
+    """A process pool of ``workers`` processes; its modules (multiprocessing,
+    socket, subprocess, ...) load at the first call."""
+    from concurrent.futures import ProcessPoolExecutor
+
+    return ProcessPoolExecutor(max_workers=workers)
+
+
 def sample_slice(
     map_obj: BatchMap,
     spec: SliceSpec,
@@ -763,7 +778,10 @@ def sample_slice(
     worker k the computed rows k, k + w, k + 2w, ...  Work per row varies
     smoothly, so the bands carry almost equal work (28.50M pixel-iterations
     each on the benchmark's PROTO_1D raster), and numpy's per-step cost is
-    paid once per worker.
+    paid once per worker.  One worker classifies its band in this process;
+    w > 1 workers run in a process pool from ``_start_pool``, which imports
+    ``concurrent.futures`` at that first parallel raster, so no other
+    command loads the pool's modules.
 
     On a conjugation-symmetric slice (``_computed_rows``) only rows
     [0, ceil(height / 2)) are classified, an odd height's middle row v = 0
@@ -788,7 +806,7 @@ def sample_slice(
     if workers == 1:
         results = map(_classify_band, bands)
     else:
-        pool = ProcessPoolExecutor(max_workers=workers)
+        pool = _start_pool(workers)
         try:
             results = list(pool.map(_classify_band, bands))
         finally:

@@ -163,18 +163,18 @@ def step(p, exp=cmath.exp, convert=complex):
 def advance(p, n, stop, eps, radius, block):
     exp, sqrt = cmath.exp, math.sqrt
     if len(p) != {len(xs)}:
-        return p, None, n, block
+        return p, None, n, block, None
     {coords} = p
     try:
         while True:{last}
             n += 1{body(False, "            ")}
             nrm = sqrt({norm})
             if n == stop or not eps <= nrm <= radius or z0.real == last_z0.real:
-                return ({lasts},), ({coords},), n, block
+                return ({lasts},), ({coords},), n, block, nrm
             if nrm > block:
                 block = nrm
     except (OverflowError, ValueError):
-        return ({lasts},), None, n - 1, block
+        return ({lasts},), None, n - 1, block, None
 """
     else:
         source = f"""
@@ -227,11 +227,11 @@ class MapWord:
     coordinates in locals, with no conversion and no tuple per step, adds
     each step's norm into the block maximum ``block`` as ``iterate`` does,
     and writes ``_norm``'s sum inline.  It returns (point before, point,
-    index, block) at the first step whose norm lies outside [eps, radius]
-    or is nan, or whose first coordinate's real part did not change (every
-    stationary step), and at index ``stop``; before a step whose cmath.exp
-    raises it returns (point, None, index, block), and that step goes
-    through ``__call__``.
+    index, block, norm of the point) at the first step whose norm lies
+    outside [eps, radius] or is nan, or whose first coordinate's real part
+    did not change (every stationary step), and at index ``stop``; before
+    a step whose cmath.exp raises it returns (point, None, index, block,
+    None), and that step goes through ``__call__``.
 
     The scalar step also serves jets: its exponential and its coordinate
     conversion are parameters, cmath.exp and complex by default, and

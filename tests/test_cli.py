@@ -229,18 +229,20 @@ def test_directions_planar_with_unequal_weights(capsys, tmp_path):
 def test_zero_weight_sum_leaves_the_planar_direction_without_a_director(capsys):
     """At a + b = 0 the direction [1:0] of G is degenerate.  directions warns
     and exits 0; verify notes it, skips the rows that need a petal of zeta
-    with that premise, and exits 0."""
-    code, out, err = run(capsys, "directions", "--map", "G", "--a", "1", "--b", "-1")
-    assert (code, err) == (0, "")
-    assert "WARN  a+b = 0: the direction [1:0] is degenerate and has no director" in out
-    assert out.count("  DEGENERATE") == 2 and "NON_DEGENERATE" not in out
-    code, out, err = run(capsys, "verify", "--a", "1", "--b", "-1")
-    assert (code, err) == (0, "")
-    assert "[1:0] is degenerate at a+b = 0" in out
-    skipped = [line.split()[1] for line in out.splitlines() if line.startswith("SKIP  dynamics.")]
-    assert skipped == ["dynamics.petal_rate"] + [
-        f"dynamics.projection_statuses.{row}" for row in ("attracting_side", "repelling_side", "both_classes_observed")]
-    assert out.count("(a + b = 0: zeta has no quadratic petal)") == 3
+    with that premise, and exits 0.  a + b = 1e-9 lies within
+    ``DEGENERATE_TOL`` of 0, and every premise reads it as 0."""
+    for b in ("-1", "-0.999999999"):
+        code, out, err = run(capsys, "directions", "--map", "G", "--a", "1", "--b", b)
+        assert (code, err) == (0, "")
+        assert "WARN  a+b = 0: the direction [1:0] is degenerate and has no director" in out
+        assert out.count("  DEGENERATE") == 2 and "NON_DEGENERATE" not in out
+        code, out, err = run(capsys, "verify", "--a", "1", "--b", b)
+        assert (code, err) == (0, "")
+        assert "[1:0] is degenerate at a+b = 0" in out
+        skipped = [line.split()[1] for line in out.splitlines() if line.startswith("SKIP  dynamics.")]
+        assert skipped == ["dynamics.petal_rate"] + [
+            f"dynamics.projection_statuses.{row}" for row in ("attracting_side", "repelling_side", "both_classes_observed")]
+        assert out.count("(a + b = 0: zeta has no quadratic petal)") == 3
 
 
 @pytest.mark.parametrize("argv", [("--map", "F3"), ("--map", "G"), ("--map", "G", "--a", "1", "--b", "2", "--c", "5"),

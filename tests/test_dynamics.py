@@ -495,8 +495,8 @@ def band_rows(args) -> list[int]:
 
 @pytest.fixture
 def serial_pool(monkeypatch):
-    """Stands in for ProcessPoolExecutor: starts no process, and records the
-    max_workers of each pool and the rows of the bands it receives."""
+    """Stands in for the process pool of ``_start_pool``: starts no process, and
+    records the max_workers of each pool and the rows of the bands it receives."""
     pools = []
 
     class SerialPool:
@@ -512,7 +512,7 @@ def serial_pool(monkeypatch):
         def shutdown(self):
             pass
 
-    monkeypatch.setattr(dynamics, "ProcessPoolExecutor", SerialPool)
+    monkeypatch.setattr(dynamics, "_start_pool", SerialPool)
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
     return pools
 
@@ -781,6 +781,26 @@ def test_classify_batch_of_a_word_that_returns_its_inputs():
     starts = [(1 + 0j, 1 + 0j, 0j), (0.3 + 0j, 0j, 0.2 + 0j), (1e-4 + 0j, 0j, 0j), (0.5 + 0j, 0.5j, 0.1j)]
     statuses = _agree_with_iterate(shear, starts, cfg)
     assert [s.kind for s in statuses] == [ESCAPED, UNDECIDED, CONVERGED, ESCAPED]
+
+
+@pytest.mark.parametrize("ndim", [2, 1])
+def test_classify_batch_leaves_its_start_arrays_alone(ndim):
+    """A lift's start (s, s, w) holds one array object twice.  classify_batch
+    reads it in place: every input keeps its bits, and the codes and decision
+    indices equal those of a run on independent copies."""
+    spec = SliceSpec(base=(0j,) * 3, dir1=(0j,) * 3, dir2=(0j,) * 3, u_range=(-0.5, 0.4),
+                     v_range=(-0.3, 0.3), width=12, height=12, lift="pos", w_fix=0.05 + 0j)
+    cfg = OrbitConfig(max_iter=400, eps_converged=0.05, record_stride=1000)
+    u, v = np.meshgrid(spec.axis_u(), spec.axis_v())
+    start = spec.start_point(u, v) if ndim == 2 else spec.start_point(u.ravel(), v.ravel())
+    assert start[0] is start[1] and start[0].ndim == ndim
+    before = [c.tobytes() for c in start]
+    codes, iters = classify_batch(build_F(P113), start, cfg)
+    assert [c.tobytes() for c in start] == before
+    apart_codes, apart_iters = classify_batch(build_F(P113), [c.copy() for c in start], cfg)
+    assert codes.shape == start[0].shape
+    assert np.array_equal(codes, apart_codes) and np.array_equal(iters, apart_iters)
+    assert set(np.unique(codes)) == {CODE_ESCAPED, CODE_CONVERGED, CODE_UNDECIDED}
 
 
 def test_start_inside_the_eps_ball_decides_at_the_second_window():

@@ -7,6 +7,9 @@ No linter is assumed, so the check parses each module with ``ast``.
 import ast
 import importlib
 import importlib.util
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -35,6 +38,16 @@ def test_the_check_finds_an_unused_import():
 @pytest.mark.parametrize("module", MODULES)
 def test_every_module_level_import_is_used(module):
     assert unused_imports((PACKAGE / module).read_text()) == []
+
+
+def test_the_cli_does_not_load_the_process_pool():
+    """Only a raster on more than one worker needs the pool, so importing
+    the command line, as every command does, loads none of its modules."""
+    env = {**os.environ, "PYTHONPATH": str(PACKAGE.parent)}
+    probe = ("import sys, shearbasins.cli; "
+             "print(sorted(m for m in ('concurrent.futures', 'multiprocessing') if m in sys.modules))")
+    out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "[]"
 
 
 # ----------------------------------------------------------------------

@@ -200,17 +200,19 @@ def test_scalar_step_keeps_signed_zeros_of_the_oracle(case):
 @SETTINGS
 @given(word_and_points(points))
 def test_advance_is_bitwise_the_scalar_step_and_norm(case):
-    """advance's points are the scalar step's, and its block maximum is the
-    largest ``_norm`` of the steps it keeps, bit for bit."""
+    """advance's points are the scalar step's, its block maximum is the
+    largest ``_norm`` of the steps it keeps, and the norm it hands back is
+    ``_norm`` of its point, bit for bit."""
     name, (p,) = case
     word = WORDS[name]
-    last, q, n, block = word.advance(p, 0, 3, 0.0, math.inf, 0.0)
+    last, q, n, block, nrm = word.advance(p, 0, 3, 0.0, math.inf, 0.0)
     orbit = [p]
     while len(orbit) <= 3:
         orbit.append(word(orbit[-1]))
     kept = orbit[1:n] if q is not None else orbit[1:n + 1]
     assert bits(last) == bits(kept[-1] if kept else p)
     assert q is None or bits(q) == bits(orbit[n])
+    assert nrm is None if q is None else struct.pack("<d", nrm) == struct.pack("<d", _norm(q))
     assert struct.pack("<d", block) == struct.pack("<d", max([0.0, *map(_norm, kept)]))
 
 

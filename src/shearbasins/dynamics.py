@@ -346,6 +346,27 @@ def check_fiber_invariance(word: MapWord, samples: int = 20, rng=None) -> Report
     return report
 
 
+def petal_premises(word: MapWord) -> tuple[float, str | None, str | None, str | None]:
+    """The petal of zeta -> zeta - (a + b) zeta^2 that every petal check reads.
+
+    Returns sign(a + b), the real ray of the petal, and the note of each
+    premise that fails, None where it holds or there is no petal to hold on:
+    the petal exists (|a + b| > ``DEGENERATE_TOL``, as for the direction
+    record of [1:0]); w decays along it (c/(a + b) > 0); z and t decay along
+    it (a/(a + b) > 0 and b/(a + b) > 0).  They decay like n to the powers
+    -c/(a + b), -a/(a + b), -b/(a + b) (Hakim, Duke Math. J. 92 (1998)).
+    """
+    (a, b), c = word.factors[0].weights, word.factors[0].w_coeff
+    total = a + b
+    if abs(total) <= DEGENERATE_TOL:
+        return 1.0, "a + b = 0: zeta has no quadratic petal", None, None
+
+    def no_decay(name: str, var: str, x: float) -> str | None:
+        return f"{name}/(a + b) = {x / total:g} <= 0: {var} does not decay along the petal" if x / total <= 0 else None
+
+    return -1.0 if total < 0 else 1.0, None, no_decay("c", "w", c), no_decay("a", "z", a) or no_decay("b", "t", b)
+
+
 def check_projection_statuses(word: MapWord, samples: int = 50, rng=None) -> Report:
     """The orbit status of the zeta-word G matches that of its square-root lift.
 
@@ -353,11 +374,11 @@ def check_projection_statuses(word: MapWord, samples: int = 50, rng=None) -> Rep
     as borderline; the report lists them and any genuine disagreements with
     the sign structure of the starting product coordinate.  Only statuses
     are compared; ``check_trace_consistency`` compares the lift's products
-    z*t with G's orbit.  The side probes stand on the real ray of
-    sign(a + b); a probe row whose premise fails (a + b = 0 for both,
-    c/(a + b) <= 0 for the attracting side) is skipped with the premise.
-    a + b counts as 0 where the direction record calls [1:0] degenerate,
-    |a + b| <= ``DEGENERATE_TOL``.
+    z*t with G's orbit.  The side probes stand on the ray of
+    ``petal_premises``; a row whose premise fails is skipped with its note:
+    the petal exists for both probes, w decays along it for the attracting
+    one and ``both_classes_observed``, and z and t decay along it for the
+    attracting probe and ``status_agreement``.
     """
     rng = rng or random.Random(0)
     cfg = OrbitConfig(max_iter=20_000, eps_converged=0.02, record_stride=10_000)
@@ -389,22 +410,22 @@ def check_projection_statuses(word: MapWord, samples: int = 50, rng=None) -> Rep
                 f"(Re x sign {math.copysign(1, x.real):+.0f})"
             )
     compared = samples - excluded
-    report.add(
-        "status_agreement",
-        not disagreements and compared > 0,
-        defect=float(len(disagreements)),
-        note=f"{agree}/{compared} compared agree, {excluded} undecided-borderline excluded"
-        + ("; " + "; ".join(disagreements) if disagreements else ""),
-    )
+    side, no_petal, no_w_decay, no_lift_decay = petal_premises(word)
+    if no_lift_decay:
+        report.add("status_agreement", True, status=SKIP, note=no_lift_decay)
+    else:
+        report.add(
+            "status_agreement",
+            not disagreements and compared > 0,
+            defect=float(len(disagreements)),
+            note=f"{agree}/{compared} compared agree, {excluded} undecided-borderline excluded"
+            + ("; " + "; ".join(disagreements) if disagreements else ""),
+        )
 
-    # deterministic probes on both sides of the petal of zeta -> zeta - (a+b) zeta^2, which
-    # lies on the real ray of sign(a + b); w decays along it only when c/(a + b) > 0
-    total, c = sum(word.factors[0].weights), word.factors[0].w_coeff
-    side = -1.0 if total < 0 else 1.0
-    no_petal = "a + b = 0: zeta has no quadratic petal" if abs(total) <= DEGENERATE_TOL else None
-    premise = no_petal or (f"c/(a + b) = {c / total:g} <= 0: w does not decay along the petal"
-                           if c / total <= 0 else None)
-    for name, x, skip in (("attracting_side", side * radius / 4, premise), ("repelling_side", -side * 0.01, no_petal)):
+    # deterministic probes on both sides of the petal
+    premise = no_petal or no_w_decay
+    for name, x, skip in (("attracting_side", side * radius / 4, premise or no_lift_decay),
+                          ("repelling_side", -side * 0.01, no_petal)):
         if skip:
             report.add(name, True, status=SKIP, note=skip)
             continue
@@ -465,26 +486,28 @@ def petal_rate(
     zeta0: float = 0.01,
     n_steps: int = 10_000,
 ) -> dict:
-    """Leau-Fatou decay along the real petal: n * zeta_n approaches 1/(a+b).
+    """Leau-Fatou decay along the petal: n * zeta_n approaches 1/(a+b).
 
-    Starts at (sqrt(zeta0), sqrt(zeta0), 0) and requires the product
-    coordinate to stay real, positive and strictly decreasing.  Each step
-    is observed, not recorded: ``iterate`` calls an evaluator without
-    ``advance`` once per step, in order, so the flags read the product of
-    every point of the orbit while it records only the first and the last.
+    Starts at (s, s, 0) with s = sqrt(sign(a + b) zeta0), on the ray of
+    ``petal_premises``, and requires sign(a + b) zeta to stay real, positive
+    and strictly decreasing.  Each step is observed, not recorded: ``iterate``
+    calls an evaluator without ``advance`` once per step, in order, so the
+    flags read the product of every point of the orbit while it records
+    only the first and the last.
     """
-    s = math.sqrt(zeta0)
+    side = petal_premises(word)[0]
+    s = cmath.sqrt(side * zeta0)
     cfg = OrbitConfig(max_iter=n_steps, eps_converged=1e-15, escape_radius=10.0, record_stride=n_steps)
-    zeta = complex(s) * complex(s)
-    real, positive, decreasing = zeta.imag == 0.0, zeta.real > 0.0, True
+    zeta = s * s
+    real, positive, decreasing = zeta.imag == 0.0, side * zeta.real > 0.0, True
 
     def step(p):
         nonlocal zeta, real, positive, decreasing
         q = word(p)
         prev, zeta = zeta, q[0] * q[1]
         real = real and zeta.imag == 0.0
-        positive = positive and zeta.real > 0.0
-        decreasing = decreasing and zeta.real < prev.real
+        positive = positive and side * zeta.real > 0.0
+        decreasing = decreasing and side * zeta.real < side * prev.real
         return q
 
     n = iterate(step, (s, s, 0.0), cfg).indices[-1]

@@ -100,7 +100,7 @@ def test_direction_outputs_keep_their_bytes(tmp_path, capsys):
 # and, from (3, 3, 3) under an escape radius of 1e300, an overflowing exp.
 OUTPUT_DIGESTS = {
     ("verify", "--seed", "0", "--json-out"):
-        {"out": "04b3f1bf888de7e3b08dbea1fbcf52e1de4042007efb8e61bb510e7f34bbfe82"},
+        {"out": "3995c8341d1fbef383be45bf6d59744fbbf682c750b8964358a7be03db1044ad"},
     ("basin", "--map", "F3", "--lift", "neg", "--w-fix", "0.05", "--res", "40", "40", "--max-iter", "300",
      "--out"):
         {"out": "73391833f23d4be8f6313f92c605e2e9d2114ac4a100086ce1829bfbdb25cea8",
@@ -167,12 +167,13 @@ def test_verify_unequal_weights_skip_symmetry(capsys):
 
 
 def test_verify_names_the_failing_sub_check(capsys):
-    """A failing sub-check is its own row, not hidden in a folded one."""
+    """A failing sub-check is its own row, not hidden in a folded one.  At
+    seed 0 every sampled pair of (1, 3, 3) stays undecided, so
+    status_agreement compares none (0/0)."""
     code, out, _ = run(capsys, "verify", "--a", "1", "--b", "3", "--c", "3")
     assert code == 1
-    failed = [line for line in out.splitlines() if line.startswith("FAIL")]
-    assert len(failed) == 1
-    assert failed[0].split()[1] == "dynamics.projection_statuses.attracting_side"
+    failed = [line.split()[1] for line in out.splitlines() if line.startswith("FAIL")]
+    assert failed == [f"dynamics.projection_statuses.{row}" for row in ("status_agreement", "attracting_side")]
 
 
 def test_report_extend_prefixes_rows_and_keeps_the_rest():
@@ -242,7 +243,49 @@ def test_zero_weight_sum_leaves_the_planar_direction_without_a_director(capsys):
         skipped = [line.split()[1] for line in out.splitlines() if line.startswith("SKIP  dynamics.")]
         assert skipped == ["dynamics.petal_rate"] + [
             f"dynamics.projection_statuses.{row}" for row in ("attracting_side", "repelling_side", "both_classes_observed")]
-        assert out.count("(a + b = 0: zeta has no quadratic petal)") == 3
+        assert out.count("(a + b = 0: zeta has no quadratic petal)") == 4
+
+
+def test_verify_title_prints_each_parameter_exactly(capsys):
+    """b = -1 and b = -0.999999999 decide different rows (a + b is 0 and
+    1e-9), so their titles differ: each parameter prints as its repr."""
+    titles = [run(capsys, "verify", "--a", "1", "--b", b)[1].splitlines()[0] for b in ("-1", "-0.999999999")]
+    assert titles == [f"== verification suite, (a, b, c) = (1.0, {b}, 3.0), seed 0 ==" for b in ("-1.0", "-0.999999999")]
+
+
+def _skip_notes(out: str) -> dict:
+    """{row: note} of the SKIP rows of a verify text report."""
+    rows = [line.split("  ", 2) for line in out.splitlines() if line.startswith("SKIP")]
+    return {name: note[1:-1] for _, name, note in rows}
+
+
+NO_PETAL = "a + b = 0: zeta has no quadratic petal"
+SYMMETRY = {"maps.symmetry_tF1_zF2": "regime not satisfied: a != b, identity not claimed"}
+
+
+@pytest.mark.parametrize("abc, code, skipped", [
+    (("1", "1", "3"), 0, []),
+    (("1", "1", "-3"), 0, [("petal_rate", "c/(a + b) = -1.5 <= 0: w does not decay along the petal"),
+                           ("attracting_side", "c/(a + b) = -1.5 <= 0: w does not decay along the petal"),
+                           ("both_classes_observed", "c/(a + b) = -1.5 <= 0: w does not decay along the petal")]),
+    (("2", "-1", "3"), 0, [("status_agreement", "b/(a + b) = -1 <= 0: t does not decay along the petal"),
+                           ("attracting_side", "b/(a + b) = -1 <= 0: t does not decay along the petal")]),
+    (("0.5", "-1", "-3"), 0, [("status_agreement", "a/(a + b) = -1 <= 0: z does not decay along the petal"),
+                              ("attracting_side", "a/(a + b) = -1 <= 0: z does not decay along the petal")]),
+    (("-1", "-1", "-3"), 0, []),
+    (("1", "-0.999999999", "3"), 0, [("petal_rate", NO_PETAL), ("attracting_side", NO_PETAL),
+                                     ("repelling_side", NO_PETAL), ("both_classes_observed", NO_PETAL)]),
+])
+def test_verify_skips_each_petal_row_with_its_premise(capsys, abc, code, skipped):
+    """Every petal row reads the premises of ``dynamics.petal_premises``: the
+    petal exists, and w, z and t decay along it.  A row whose premise fails
+    is SKIP with that premise as its note, and the run exits 0."""
+    a, b, c = abc
+    got, out, _ = run(capsys, "verify", "--a", a, f"--b={b}", f"--c={c}")
+    assert got == code
+    rows = {("dynamics.petal_rate" if row == "petal_rate" else f"dynamics.projection_statuses.{row}"): note
+            for row, note in skipped}
+    assert _skip_notes(out) == ({} if a == b else SYMMETRY) | rows
 
 
 @pytest.mark.parametrize("argv", [("--map", "F3"), ("--map", "G"), ("--map", "G", "--a", "1", "--b", "2", "--c", "5"),

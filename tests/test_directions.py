@@ -229,28 +229,32 @@ def test_closed_form_directors_equal_an_eigen_solve():
 
 
 def test_scaling_covariance():
-    lt = LeadingTerm(2, planar_part(1.0, 3.0))
-    base = next(
-        d for d in characteristic_directions(lt, names=("x", "y")) if not d.degenerate
-    )
+    """At G(1, 3) and at every non-degenerate direction of the random words."""
+    lts = [LeadingTerm(2, planar_part(1.0, 3.0))]
+    lts += [leading_term(word.jet(word.dim)) for word, _ in random_words(random.Random(2874), 30)]
     rng = random.Random(0)
-    for _ in range(10):
-        phase = cmath.exp(2j * math.pi * rng.random())
-        v = tuple(phase * x for x in base.v)
-        lam = complex(np.vdot(np.array(v), np.array(lt.part(v))))
-        assert abs(lam - base.lam * phase ** (lt.degree - 1)) <= 1e-8
-        assert direction(lt, v, lam).directors == base.directors
+    for lt in lts:
+        for base in (d for d in characteristic_directions(lt) if not d.degenerate):
+            for _ in range(10):
+                phase = cmath.exp(2j * math.pi * rng.random())
+                v = tuple(phase * x for x in base.v)
+                lam = complex(np.vdot(np.array(v), np.array(lt.part(v))))
+                assert abs(lam - base.lam * phase ** (lt.degree - 1)) <= 1e-8
+                assert direction(lt, v, lam).directors == base.directors
 
 
 def test_euler_identity_on_found_directions():
-    lt = leading_term(build_F(Params(1, 1, 3)).jet(6))
-    jac = lt.part.jacobian()
-    for d in characteristic_directions(lt):
-        if d.degenerate:
-            continue
-        dp_v = np.array([[jac[i][j](d.v) for j in range(3)] for i in range(3)])
-        defect = np.max(np.abs(dp_v @ np.array(d.v) - lt.degree * d.lam * np.array(d.v)))
-        assert defect <= 1e-8
+    """At F3(1, 1, 3) and at every non-degenerate direction of the random words."""
+    lts = [leading_term(build_F(Params(1, 1, 3)).jet(6))]
+    lts += [leading_term(word.jet(word.dim)) for word, _ in random_words(random.Random(2874), 30)]
+    for lt in lts:
+        jac, k = lt.part.jacobian(), lt.part.k
+        for d in characteristic_directions(lt):
+            if d.degenerate:
+                continue
+            dp_v = np.array([[jac[i][j](d.v) for j in range(k)] for i in range(k)])
+            defect = np.max(np.abs(dp_v @ np.array(d.v) - lt.degree * d.lam * np.array(d.v)))
+            assert defect <= 1e-8
 
 
 # ----------------------------------------------------------------------

@@ -353,30 +353,33 @@ def test_trace_consistency_fails_for_a_mutated_weight(monkeypatch):
     assert not proj.ok and proj.defect > proj.tolerance
 
 
-def recorded_products(word, n_steps):
+def recorded_products(word, n_steps, side=1.0):
     """The index list and the products z*t of the stride-1 orbit from
-    (0.1, 0.1, 0) that petal_rate and check_trace_consistency step through."""
-    s = math.sqrt(0.01)
+    (s, s, 0), s = sqrt(side * 0.01), that petal_rate (on the ray of
+    sign(a + b)) and check_trace_consistency (side 1) step through."""
+    s = cmath.sqrt(side * 0.01)
     cfg = OrbitConfig(max_iter=n_steps, eps_converged=1e-15, escape_radius=10.0, record_stride=1)
     orbit = iterate(word, (s, s, 0.0), cfg)
     return orbit.indices, [p[0] * p[1] for p in orbit.points]
 
 
 @pytest.mark.parametrize("params, n_last", [((1.0, 1.0, 3.0), 10_000), ((1.0, 2.0, 4.0), 10_000),
-                                            ((-1.0, -1.0, 3.0), 48)])
+                                            ((-1.0, -1.0, 3.0), 10_000)])
 def test_observed_steps_equal_the_recorded_orbit(params, n_last):
     """petal_rate and the projected_orbit defect, which observe each step of
     their orbit, equal bit for bit the same readings of the recorded stride-1
-    orbit; at (-1, -1, 3) the petal orbit escapes at n = 48."""
+    orbit; at (-1, -1, 3) the petal orbit starts on the negative ray (from
+    the positive one it escapes at n = 48)."""
     word = build_F(Params(*params))
-    indices, zs = recorded_products(word, 10_000)
+    side = math.copysign(1.0, params[0] + params[1])
+    indices, zs = recorded_products(word, 10_000, side)
     assert indices[-1] == n_last
     want = {
         "n": indices[-1],
         "n_zeta": indices[-1] * zs[-1].real,
         "real": all(z.imag == 0.0 for z in zs),
-        "positive": all(z.real > 0.0 for z in zs),
-        "strictly_decreasing": all(b.real < a.real for a, b in zip(zs, zs[1:])),
+        "positive": all(side * z.real > 0.0 for z in zs),
+        "strictly_decreasing": all(side * b.real < side * a.real for a, b in zip(zs, zs[1:])),
     }
     assert repr(petal_rate(word, zeta0=0.01, n_steps=10_000)) == repr(want)
 
@@ -424,14 +427,15 @@ def test_observed_orbits_keep_constant_memory():
 
 @pytest.mark.parametrize("params, skipped", [
     ((-1.0, -1.0, -3.0), []),
-    ((1.0, -2.0, 3.0), ["attracting_side", "both_classes_observed"]),
+    ((1.0, -2.0, 3.0), ["status_agreement", "attracting_side", "both_classes_observed"]),
     ((-1.0, -1.0, 3.0), ["attracting_side", "both_classes_observed"]),
     ((1.0, -1.0, 3.0), ["attracting_side", "repelling_side", "both_classes_observed"]),
 ])
 def test_projection_status_probes_follow_the_petal(params, skipped):
     """The side probes stand on the real ray of sign(a + b); a row whose
-    premise fails (a + b = 0, or c/(a + b) <= 0 for the attracting side) is
-    skipped with the premise as its note."""
+    premise fails (a + b = 0; c/(a + b) <= 0 for the attracting side; a/(a + b)
+    or b/(a + b) <= 0 for it and status_agreement) is skipped with the
+    premise as its note."""
     report = check_projection_statuses(build_F(Params(*params)), samples=20, rng=random.Random(0))
     assert report.passed
     assert [c.name for c in report.checks if c.status == "skip"] == skipped

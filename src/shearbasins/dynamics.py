@@ -30,7 +30,9 @@ from __future__ import annotations
 import cmath
 import math
 import os
+import pickle
 import random
+import signal
 from dataclasses import asdict, dataclass
 from typing import Callable, Protocol, Sequence
 
@@ -755,7 +757,7 @@ def _classify_band(args) -> tuple[np.ndarray, np.ndarray]:
     map_obj, spec, cfg, first, rows, step = args
     codes, iters = classify_batch(
         map_obj, spec.start_point(*np.meshgrid(spec.axis_u(), spec.axis_v()[first:rows:step])), cfg)
-    # a pool pickles the band back: the least dtype that holds max_iter
+    # a forked worker pickles the band back through a pipe: the least dtype that holds max_iter
     return codes, iters.astype(np.min_scalar_type(cfg.max_iter))
 
 
@@ -777,12 +779,49 @@ def _computed_rows(map_obj: BatchMap, spec: SliceSpec) -> int:
     return (spec.height + 1) // 2 if mirrored else spec.height
 
 
-def _start_pool(workers: int):
-    """A process pool of ``workers`` processes; its modules (multiprocessing,
-    socket, subprocess, ...) load at the first call."""
-    from concurrent.futures import ProcessPoolExecutor
-
-    return ProcessPoolExecutor(max_workers=workers)
+def _fork_map(fn, items) -> list:
+    """[fn(item) for item in items], each call in a forked child that pickles
+    (ok, result or exception) into its own pipe; a child's exception is raised
+    here, a lost child is a RuntimeError.  No child outlives the call."""
+    pids, pipes, reaped = [], [], 0
+    try:
+        for item in items:
+            r, w = os.pipe()
+            pipes.append(open(r, "rb"))
+            with open(w, "wb") as out:
+                pid = os.fork()
+                if pid == 0:  # the child leaves by os._exit, never into the caller
+                    try:
+                        for pipe in pipes:
+                            pipe.close()
+                        try:
+                            reply = (True, fn(item))
+                        except BaseException as exc:  # raised again in the parent
+                            reply = (False, exc)
+                        pickle.dump(reply, out)
+                        out.close()
+                        os._exit(0)
+                    finally:
+                        os._exit(1)
+            pids.append(pid)
+        results = []
+        for k, (pid, pipe) in enumerate(zip(pids, pipes)):
+            data = pipe.read()  # before waitpid: a band larger than the pipe buffer blocks its writer
+            status = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+            reaped += 1
+            if status:
+                raise RuntimeError(f"band {k}: worker ended without a result, exit code {status}")
+            ok, value = pickle.loads(data)
+            if not ok:
+                raise value
+            results.append(value)
+        return results
+    finally:
+        for pid in pids[reaped:]:
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+        for pipe in pipes:
+            pipe.close()
 
 
 def sample_slice(
@@ -802,9 +841,8 @@ def sample_slice(
     smoothly, so the bands carry almost equal work (28.50M pixel-iterations
     each on the benchmark's PROTO_1D raster), and numpy's per-step cost is
     paid once per worker.  One worker classifies its band in this process;
-    w > 1 workers run in a process pool from ``_start_pool``, which imports
-    ``concurrent.futures`` at that first parallel raster, so no other
-    command loads the pool's modules.
+    w > 1 workers are forked children (``_fork_map``) that send their bands
+    back through pipes.  Where ``os`` has no ``fork``, w is 1.
 
     On a conjugation-symmetric slice (``_computed_rows``) only rows
     [0, ceil(height / 2)) are classified, an odd height's middle row v = 0
@@ -824,16 +862,9 @@ def sample_slice(
     iters = np.zeros((spec.height, spec.width), dtype=np.int32)
     rows = _computed_rows(map_obj, spec)
     usable = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
-    workers = min(workers, usable, rows)
+    workers = min(workers, usable, rows) if hasattr(os, "fork") else 1
     bands = [(map_obj, spec, cfg, k, rows, workers) for k in range(workers)]
-    if workers == 1:
-        results = map(_classify_band, bands)
-    else:
-        pool = _start_pool(workers)
-        try:
-            results = list(pool.map(_classify_band, bands))
-        finally:
-            pool.shutdown()
+    results = (map if workers == 1 else _fork_map)(_classify_band, bands)
     for k, (band_codes, band_iters) in enumerate(results):
         codes[k:rows:workers] = band_codes
         iters[k:rows:workers] = band_iters

@@ -12,10 +12,12 @@ import math
 import operator
 import os
 import random
+import signal
 import struct
 import sys
 import tracemalloc
 import warnings
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -484,11 +486,21 @@ def test_raster_conjugation_symmetry():
         assert np.array_equal(iters, iters[::-1, :])
 
 
-def test_raster_deterministic_across_workers():
+def test_raster_deterministic_across_workers(monkeypatch):
     r1, _, _ = quad_raster(width=48, height=48, max_iter=1500, workers=1)
     r2, _, _ = quad_raster(width=48, height=48, max_iter=1500, workers=2)
     assert np.array_equal(r1.codes, r2.codes)
     assert np.array_equal(r1.iterations, r2.iterations)
+    # the lifted F3 word: each forked worker runs the MapWord it inherits
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(4)), raising=False)
+    spec = SliceSpec(base=(0j,) * 3, dir1=(0j,) * 3, dir2=(0j,) * 3, u_range=(-0.2, 0.4), v_range=(-0.3, 0.3),
+                     width=24, height=24, lift="pos", w_fix=0.05 + 0j)
+    cfg = OrbitConfig(max_iter=300, eps_converged=0.05, record_stride=301)
+    f3 = [sample_slice(_F3, spec, cfg, workers=w) for w in (1, 2, 3)]
+    assert {CODE_ESCAPED, CODE_UNDECIDED} <= set(np.unique(f3[0].codes))
+    for raster in f3[1:]:
+        assert np.array_equal(raster.codes, f3[0].codes)
+        assert np.array_equal(raster.iterations, f3[0].iterations)
 
 
 def band_rows(args) -> list[int]:
@@ -499,24 +511,15 @@ def band_rows(args) -> list[int]:
 
 @pytest.fixture
 def serial_pool(monkeypatch):
-    """Stands in for the process pool of ``_start_pool``: starts no process, and
-    records the max_workers of each pool and the rows of the bands it receives."""
+    """Stands in for the forked workers of ``_fork_map``: starts no process, and
+    records the worker count of each parallel raster and the rows of its bands."""
     pools = []
 
-    class SerialPool:
-        def __init__(self, max_workers):
-            self.max_workers, self.bands = max_workers, []
-            pools.append(self)
+    def serial_map(fn, items):
+        pools.append(SimpleNamespace(max_workers=len(items), bands=[band_rows(args) for args in items]))
+        return list(map(fn, items))
 
-        def map(self, fn, items):
-            items = list(items)
-            self.bands = [band_rows(args) for args in items]
-            return map(fn, items)
-
-        def shutdown(self):
-            pass
-
-    monkeypatch.setattr(dynamics, "_start_pool", SerialPool)
+    monkeypatch.setattr(dynamics, "_fork_map", serial_map)
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
     return pools
 
@@ -569,6 +572,62 @@ def test_no_more_workers_than_computed_rows(monkeypatch, serial_pool):
         assert np.array_equal(serial.codes, pooled.codes)
         assert np.array_equal(serial.iterations, pooled.iterations)
     assert [(pool.max_workers, pool.bands) for pool in serial_pool] == [(2, [[0], [1]]), (3, [[0], [1], [2]])]
+
+
+def _failing_band(band, failure):
+    """A ``_classify_band`` that fails in band ``band`` by ``failure`` and
+    classifies the others."""
+    classify_band = dynamics._classify_band
+
+    def classify(args):
+        if args[3] == band:
+            if failure == "raise":
+                raise ValueError(f"band {band} fails")
+            os.kill(os.getpid(), signal.SIGKILL)
+        return classify_band(args)
+
+    return classify
+
+
+@pytest.mark.parametrize("band", [0, 1])
+@pytest.mark.parametrize("failure, error, match", [("raise", ValueError, "band . fails"),
+                                                   ("sigkill", RuntimeError, "exit code -9")])
+def test_a_failing_worker_fails_the_raster_and_leaves_no_process(monkeypatch, band, failure, error, match):
+    """A band that raises in its forked worker raises the same type here; a
+    worker killed by a signal raises RuntimeError.  Each band's result is
+    larger than a pipe's 64 KiB buffer, so a worker that is not read blocks
+    on its write: band 0 failing needs band 1 killed, band 1 failing needs
+    band 0 read before it is waited for.  No child is left either way."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(4)), raising=False)
+    monkeypatch.setattr(dynamics, "_classify_band", _failing_band(band, failure))
+
+    def hung(signum, frame):
+        raise TimeoutError("a worker was not read before its wait, or not killed")
+
+    previous = signal.signal(signal.SIGALRM, hung)
+    signal.alarm(60)
+    try:
+        with pytest.raises(error, match=match):
+            quad_raster(width=400, height=400, max_iter=60, workers=2, v_range=(-1.0, 0.9))
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def test_without_fork_the_raster_runs_in_this_process(monkeypatch):
+    """Where ``os`` has no ``fork``, every band runs here: same codes and
+    iterations, no process started."""
+    serial, _, _ = quad_raster(width=24, height=24, max_iter=300, workers=1)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(4)), raising=False)
+    monkeypatch.delattr(os, "fork")
+    monkeypatch.setattr(dynamics, "_fork_map", None)
+    alone, _, _ = quad_raster(width=24, height=24, max_iter=300, workers=3)
+    assert np.array_equal(serial.codes, alone.codes)
+    assert np.array_equal(serial.iterations, alone.iterations)
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
 
 
 def test_raster_codes_form_a_trichotomy():

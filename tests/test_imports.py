@@ -40,14 +40,41 @@ def test_every_module_level_import_is_used(module):
     assert unused_imports((PACKAGE / module).read_text()) == []
 
 
-def test_the_cli_does_not_load_the_process_pool():
-    """Only a raster on more than one worker needs the pool, so importing
-    the command line, as every command does, loads none of its modules."""
+def test_the_cli_does_not_load_the_process_pool(tmp_path):
+    """Parallel rasters fork their workers directly, so neither importing the
+    command line, as every command does, nor a raster on two workers loads
+    the modules of a process pool."""
     env = {**os.environ, "PYTHONPATH": str(PACKAGE.parent)}
-    probe = ("import sys, shearbasins.cli; "
+    probe = ("import os, sys, shearbasins.cli; os.sched_getaffinity = lambda pid: {0, 1}; "
+             "assert shearbasins.cli.main(['basin', '--map', 'PROTO_1D', '--res', '24', '24', '--max-iter', '200', "
+             "'--workers', '2', '--out', 'basin.pgm']) == 0; "
              "print(sorted(m for m in ('concurrent.futures', 'multiprocessing') if m in sys.modules))")
-    out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True)
-    assert out.stdout.strip() == "[]"
+    out = subprocess.run([sys.executable, "-c", probe], env=env, cwd=tmp_path, capture_output=True, text=True,
+                         check=True)
+    assert out.stdout.strip().splitlines()[-1] == "[]"
+    assert (tmp_path / "basin.pgm").exists()
+
+
+def pool_imports(source: str) -> list[str]:
+    """Every import of ``concurrent`` or ``multiprocessing``, at any nesting level."""
+    names = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            names += [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            names.append(node.module)
+    return [name for name in names if name.split(".")[0] in ("concurrent", "multiprocessing")]
+
+
+def test_the_scan_finds_a_nested_pool_import():
+    source = ("import os\ndef f():\n    from concurrent.futures import ProcessPoolExecutor\n"
+              "    import multiprocessing.pool as mp\n    from os import path\n")
+    assert pool_imports(source) == ["concurrent.futures", "multiprocessing.pool"]
+
+
+def test_no_module_imports_a_process_pool():
+    found = {path.name: pool_imports(path.read_text()) for path in PACKAGE.glob("*.py")}
+    assert {name: names for name, names in found.items() if names} == {}
 
 
 # ----------------------------------------------------------------------

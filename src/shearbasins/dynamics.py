@@ -312,31 +312,38 @@ def check_equivariance(word: MapWord, rng=None) -> Report:
 
 def check_fiber_invariance(word: MapWord, samples: int = 20, rng=None) -> Report:
     """Status and zeta-trace depend only on (z t, w): the products z*t of two
-    gauged orbits agree at every index that both record."""
+    gauged orbits agree at every index that both record.  The pairs run
+    through ``_map_pairs``, each sending back its two status kinds and its
+    trace defect."""
     rng = rng or random.Random(0)
     cfg = OrbitConfig(max_iter=20_000, eps_converged=0.02, record_stride=10)
     report = Report(title="fiber invariance")
 
-    worst_trace = 0.0
-    status_agree = 0
-    borderline = 0
+    starts = []
     for _ in range(samples):
         p = sample_ball_point(rng, 3, 0.3)
         # powers of two keep the product coordinate bitwise identical
         lam = rng.choice((2.0, 0.5))
-        gauged = (lam * p[0], p[1] / lam, p[2])
-        o1 = iterate(word, p, cfg)
-        o2 = iterate(word, gauged, cfg)
-        if o1.status.kind == o2.status.kind:
-            status_agree += 1
-        elif UNDECIDED in (o1.status.kind, o2.status.kind):
-            borderline += 1
+        starts.append((p, (lam * p[0], p[1] / lam, p[2])))
+
+    def run_pair(start) -> tuple[str, str, float]:
+        o1, o2 = (iterate(word, p, cfg) for p in start)
         # both index lists read 0, 10, 20, ... and then one last index, so
         # an index that both orbits record stands at the same position in both
-        worst_trace = max(worst_trace, max(
+        return o1.status.kind, o2.status.kind, max(
             abs(q1[0] * q1[1] - q2[0] * q2[1])
             for n1, n2, q1, q2 in zip(o1.indices, o2.indices, o1.points, o2.points) if n1 == n2
-        ))
+        )
+
+    worst_trace = 0.0
+    status_agree = 0
+    borderline = 0
+    for kind1, kind2, trace in _map_pairs(run_pair, starts):
+        if kind1 == kind2:
+            status_agree += 1
+        elif UNDECIDED in (kind1, kind2):
+            borderline += 1
+        worst_trace = max(worst_trace, trace)
     report.add("zeta_trace", worst_trace <= 1e-10, defect=worst_trace, tolerance=1e-10)
     report.add(
         "status",
@@ -380,7 +387,9 @@ def check_projection_statuses(word: MapWord, samples: int = 50, rng=None) -> Rep
     ``petal_premises``; a row whose premise fails is skipped with its note:
     the petal exists for both probes, w decays along it for the attracting
     one and ``both_classes_observed``, and z and t decay along it for the
-    attracting probe and ``status_agreement``.
+    attracting probe and ``status_agreement``.  The sampled pairs run
+    through ``_map_pairs``, each sending back its two ``Status``es; the
+    probes run here.
     """
     rng = rng or random.Random(0)
     cfg = OrbitConfig(max_iter=20_000, eps_converged=0.02, record_stride=10_000)
@@ -396,10 +405,8 @@ def check_projection_statuses(word: MapWord, samples: int = 50, rng=None) -> Rep
     excluded = 0
     decided_kinds: set[str] = set()
     disagreements: list[str] = []
-    for _ in range(samples):
-        x = sample_disk(rng, radius)
-        y = sample_disk(rng, radius)
-        down, up = pair_statuses(x, y)
+    starts = [(sample_disk(rng, radius), sample_disk(rng, radius)) for _ in range(samples)]
+    for (x, _), (down, up) in zip(starts, _map_pairs(lambda start: pair_statuses(*start), starts)):
         if UNDECIDED in (down.kind, up.kind):
             excluded += 1
             continue
@@ -806,11 +813,11 @@ def _fork_map(fn, items) -> list:
             pids.append(pid)
         results = []
         for k, (pid, pipe) in enumerate(zip(pids, pipes)):
-            data = pipe.read()  # before waitpid: a band larger than the pipe buffer blocks its writer
+            data = pipe.read()  # before waitpid: a result larger than the pipe buffer blocks its writer
             status = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
             reaped += 1
             if status:
-                raise RuntimeError(f"band {k}: worker ended without a result, exit code {status}")
+                raise RuntimeError(f"worker {k} ended without a result, exit code {status}")
             ok, value = pickle.loads(data)
             if not ok:
                 raise value
@@ -822,6 +829,26 @@ def _fork_map(fn, items) -> list:
             os.waitpid(pid, 0)
         for pipe in pipes:
             pipe.close()
+
+
+def _worker_count(limit: int) -> int:
+    """min(limit, usable CPUs), or 1 where ``os`` has no ``fork``."""
+    usable = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+    return min(limit, usable) if hasattr(os, "fork") else 1
+
+
+def _map_pairs(fn, items: list) -> list:
+    """[fn(item) for item in items], in item order, on w =
+    ``_worker_count(len(items))`` workers, worker k taking items k, k + w,
+    k + 2w, ...  One worker runs here; w > 1 are forked children
+    (``_fork_map``) that pickle each result back, so a result should hold
+    only what the caller reads."""
+    workers = _worker_count(len(items))
+    results = [None] * len(items)
+    chunks = (map if workers == 1 else _fork_map)(lambda k: [fn(item) for item in items[k::workers]], range(workers))
+    for k, chunk in enumerate(chunks):
+        results[k::workers] = chunk
+    return results
 
 
 def sample_slice(
@@ -861,8 +888,7 @@ def sample_slice(
     codes = np.zeros((spec.height, spec.width), dtype=np.uint8)
     iters = np.zeros((spec.height, spec.width), dtype=np.int32)
     rows = _computed_rows(map_obj, spec)
-    usable = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
-    workers = min(workers, usable, rows) if hasattr(os, "fork") else 1
+    workers = _worker_count(min(workers, rows))
     bands = [(map_obj, spec, cfg, k, rows, workers) for k in range(workers)]
     results = (map if workers == 1 else _fork_map)(_classify_band, bands)
     for k, (band_codes, band_iters) in enumerate(results):

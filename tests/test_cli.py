@@ -3,6 +3,7 @@
 import hashlib
 import json
 import math
+import os
 
 import numpy as np
 import pytest
@@ -263,7 +264,7 @@ NO_PETAL = "a + b = 0: zeta has no quadratic petal"
 SYMMETRY = {"maps.symmetry_tF1_zF2": "regime not satisfied: a != b, identity not claimed"}
 
 
-@pytest.mark.parametrize("abc, code, skipped", [
+PETAL_ROWS = [
     (("1", "1", "3"), 0, []),
     (("1", "1", "-3"), 0, [("petal_rate", "c/(a + b) = -1.5 <= 0: w does not decay along the petal"),
                            ("attracting_side", "c/(a + b) = -1.5 <= 0: w does not decay along the petal"),
@@ -275,7 +276,10 @@ SYMMETRY = {"maps.symmetry_tF1_zF2": "regime not satisfied: a != b, identity not
     (("-1", "-1", "-3"), 0, []),
     (("1", "-0.999999999", "3"), 0, [("petal_rate", NO_PETAL), ("attracting_side", NO_PETAL),
                                      ("repelling_side", NO_PETAL), ("both_classes_observed", NO_PETAL)]),
-])
+]
+
+
+@pytest.mark.parametrize("abc, code, skipped", PETAL_ROWS)
 def test_verify_skips_each_petal_row_with_its_premise(capsys, abc, code, skipped):
     """Every petal row reads the premises of ``dynamics.petal_premises``: the
     petal exists, and w, z and t decay along it.  A row whose premise fails
@@ -286,6 +290,20 @@ def test_verify_skips_each_petal_row_with_its_premise(capsys, abc, code, skipped
     rows = {("dynamics.petal_rate" if row == "petal_rate" else f"dynamics.projection_statuses.{row}"): note
             for row, note in skipped}
     assert _skip_notes(out) == ({} if a == b else SYMMETRY) | rows
+
+
+@pytest.mark.parametrize("argv", [("--seed", "1"), ("--seed", "2")]
+                         + [("--a", a, f"--b={b}", f"--c={c}") for (a, b, c), _, _ in PETAL_ROWS])
+def test_verify_bytes_do_not_depend_on_the_usable_cpus(monkeypatch, capsys, tmp_path, argv):
+    """The sampled orbit pairs of verify run on one forked worker per usable
+    CPU; its text and JSON are the same at 1, 2 and 3."""
+    outputs = []
+    for cpus in (1, 2, 3):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
+        path = tmp_path / f"{cpus}.json"
+        code, out, _ = run(capsys, "verify", *argv, "--json-out", str(path))
+        outputs.append((code, out, path.read_bytes()))
+    assert outputs[1:] == outputs[:1] * 2
 
 
 @pytest.mark.parametrize("argv", [("--map", "F3"), ("--map", "G"), ("--map", "G", "--a", "1", "--b", "2", "--c", "5"),

@@ -396,7 +396,9 @@ def test_observed_steps_equal_the_recorded_orbit(params, n_last):
 @pytest.mark.parametrize("seed", range(10))
 def test_fiber_trace_by_position_is_the_maximum_over_shared_indices(monkeypatch, seed):
     """check_fiber_invariance compares the two orbits of a pair by position;
-    that equals the maximum over the indices that both record, in ascending order."""
+    that equals the maximum over the indices that both record, in ascending order.
+    With one usable CPU every pair runs in this process, where the spy sees it."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
     orbits = []
     monkeypatch.setattr(dynamics, "iterate", lambda *args: orbits.append(iterate(*args)) or orbits[-1])
     report = check_fiber_invariance(build_F(P113), samples=10, rng=random.Random(seed))
@@ -407,6 +409,62 @@ def test_fiber_trace_by_position_is_the_maximum_over_shared_indices(monkeypatch,
         worst = max(worst, max(abs(trace1[n] - trace2[n]) for n in sorted(set(trace1) & set(trace2))))
     assert len(orbits) == 20
     assert struct.pack("<d", report["zeta_trace"].defect) == struct.pack("<d", worst)
+
+
+@pytest.mark.parametrize("cpus", [2, 3])
+@pytest.mark.parametrize("n", [1, 2, 5])
+def test_map_pairs_deals_the_items_round_robin_and_keeps_their_order(monkeypatch, cpus, n):
+    """w = min(usable CPUs, items) workers, worker k taking items k, k + w, ...;
+    the results come back in item order, and one item runs in this process."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
+    items = [f"pair {i}" for i in range(n)]
+    results = dynamics._map_pairs(lambda item: (item, os.getpid()), items)
+    assert [item for item, _ in results] == items
+    pids = [pid for _, pid in results]
+    workers = min(cpus, n)
+    assert len(set(pids)) == workers
+    assert [pids[i % workers] for i in range(n)] == pids
+    assert (os.getpid() in pids) == (workers == 1)
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@pytest.mark.parametrize("cpus, n, fork", [(1, 5, True), (3, 1, True), (3, 5, False)])
+def test_one_item_one_cpu_or_no_fork_runs_the_pairs_here(monkeypatch, cpus, n, fork):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
+    if not fork:
+        monkeypatch.delattr(os, "fork")
+    monkeypatch.setattr(dynamics, "_fork_map", None)
+    assert dynamics._map_pairs(lambda item: (item, os.getpid()), list(range(n))) == [(i, os.getpid()) for i in range(n)]
+
+
+@pytest.mark.parametrize("pair", [0, 1])
+@pytest.mark.parametrize("failure, error, match", [("raise", ValueError, "pair fails in a worker"),
+                                                   ("sigkill", RuntimeError, "exit code -9")])
+def test_a_failing_pair_fails_the_fiber_check_and_leaves_no_process(monkeypatch, pair, failure, error, match):
+    """An orbit pair that raises in its forked worker raises the same type
+    here; a worker killed by a signal raises RuntimeError.  Pair 0 runs in
+    worker 0, pair 1 in worker 1.  No child is left either way."""
+    word = build_F(P113)
+    starts = []
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+    monkeypatch.setattr(dynamics, "iterate", lambda evaluator, p0, cfg: starts.append(p0) or iterate(evaluator, p0, cfg))
+    check_fiber_invariance(word, samples=4, rng=random.Random(0))
+    parent = os.getpid()
+
+    def failing(evaluator, p0, cfg):
+        if p0 == starts[2 * pair]:
+            if failure == "raise" or os.getpid() == parent:
+                raise ValueError("pair fails" + (" in a worker" if os.getpid() != parent else ""))
+            os.kill(os.getpid(), signal.SIGKILL)
+        return iterate(evaluator, p0, cfg)
+
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    monkeypatch.setattr(dynamics, "iterate", failing)
+    with pytest.raises(error, match=match):
+        check_fiber_invariance(word, samples=4, rng=random.Random(0))
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
 
 
 def traced_peak(fn) -> int:

@@ -312,9 +312,8 @@ def check_equivariance(word: MapWord, rng=None) -> Report:
 
 def check_fiber_invariance(word: MapWord, samples: int = 20, rng=None) -> Report:
     """Status and zeta-trace depend only on (z t, w): the products z*t of two
-    gauged orbits agree at every index that both record.  The pairs run
-    through ``_map_pairs``, each sending back its two status kinds and its
-    trace defect."""
+    gauged orbits agree at every index that both record.  The pairs go
+    through ``_fork_map``, each sending back its status kinds and trace defect."""
     rng = rng or random.Random(0)
     cfg = OrbitConfig(max_iter=20_000, eps_converged=0.02, record_stride=10)
     report = Report(title="fiber invariance")
@@ -338,7 +337,7 @@ def check_fiber_invariance(word: MapWord, samples: int = 20, rng=None) -> Report
     worst_trace = 0.0
     status_agree = 0
     borderline = 0
-    for kind1, kind2, trace in _map_pairs(run_pair, starts):
+    for kind1, kind2, trace in _fork_map(lambda pairs: [run_pair(pair) for pair in pairs], starts, samples):
         if kind1 == kind2:
             status_agree += 1
         elif UNDECIDED in (kind1, kind2):
@@ -387,9 +386,8 @@ def check_projection_statuses(word: MapWord, samples: int = 50, rng=None) -> Rep
     ``petal_premises``; a row whose premise fails is skipped with its note:
     the petal exists for both probes, w decays along it for the attracting
     one and ``both_classes_observed``, and z and t decay along it for the
-    attracting probe and ``status_agreement``.  The sampled pairs run
-    through ``_map_pairs``, each sending back its two ``Status``es; the
-    probes run here.
+    attracting probe and ``status_agreement``.  The sampled pairs go through
+    ``_fork_map``, each sending back its two ``Status``es; the probes run here.
     """
     rng = rng or random.Random(0)
     cfg = OrbitConfig(max_iter=20_000, eps_converged=0.02, record_stride=10_000)
@@ -406,7 +404,8 @@ def check_projection_statuses(word: MapWord, samples: int = 50, rng=None) -> Rep
     decided_kinds: set[str] = set()
     disagreements: list[str] = []
     starts = [(sample_disk(rng, radius), sample_disk(rng, radius)) for _ in range(samples)]
-    for (x, _), (down, up) in zip(starts, _map_pairs(lambda start: pair_statuses(*start), starts)):
+    statuses = _fork_map(lambda pairs: [pair_statuses(*pair) for pair in pairs], starts, samples)
+    for (x, _), (down, up) in zip(starts, statuses):
         if UNDECIDED in (down.kind, up.kind):
             excluded += 1
             continue
@@ -760,14 +759,6 @@ def classify_batch(map_obj: BatchMap, coords: Sequence[np.ndarray],
     return codes.reshape(shape), iters.reshape(shape)
 
 
-def _classify_band(args) -> tuple[np.ndarray, np.ndarray]:
-    map_obj, spec, cfg, first, rows, step = args
-    codes, iters = classify_batch(
-        map_obj, spec.start_point(*np.meshgrid(spec.axis_u(), spec.axis_v()[first:rows:step])), cfg)
-    # a forked worker pickles the band back through a pipe: the least dtype that holds max_iter
-    return codes, iters.astype(np.min_scalar_type(cfg.max_iter))
-
-
 def _computed_rows(map_obj: BatchMap, spec: SliceSpec) -> int:
     """ceil(height / 2) if row height-1-i starts at the conjugates of row i's start
     points and the map is a package map with int or float parameters, else height."""
@@ -786,13 +777,25 @@ def _computed_rows(map_obj: BatchMap, spec: SliceSpec) -> int:
     return (spec.height + 1) // 2 if mirrored else spec.height
 
 
-def _fork_map(fn, items) -> list:
-    """[fn(item) for item in items], each call in a forked child that pickles
-    (ok, result or exception) into its own pipe; a child's exception is raised
-    here, a lost child is a RuntimeError.  No child outlives the call."""
+def _fork_map(fn, items: Sequence, limit: int) -> list:
+    """One result per item, in item order, from w = min(limit, len(items),
+    usable CPUs) workers, or 1 where ``os`` has no ``fork``.
+
+    Worker k calls fn(items[k::w]), which returns a list of one result per
+    item it is given, so worker k takes items k, k + w, k + 2w, ...  With
+    w = 1, fn runs in this process.  Otherwise each worker is a forked child
+    that pickles (ok, results or exception) into its own pipe, so a result
+    should hold only what the caller reads.  A child's exception is raised
+    here, a lost child is a RuntimeError, and no child outlives the call.
+    """
+    usable = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+    workers = min(limit, len(items), usable) if hasattr(os, "fork") else 1
+    if workers <= 1:
+        return fn(items)
+    results = [None] * len(items)
     pids, pipes, reaped = [], [], 0
     try:
-        for item in items:
+        for k in range(workers):
             r, w = os.pipe()
             pipes.append(open(r, "rb"))
             with open(w, "wb") as out:
@@ -802,7 +805,7 @@ def _fork_map(fn, items) -> list:
                         for pipe in pipes:
                             pipe.close()
                         try:
-                            reply = (True, fn(item))
+                            reply = (True, fn(items[k::workers]))
                         except BaseException as exc:  # raised again in the parent
                             reply = (False, exc)
                         pickle.dump(reply, out)
@@ -811,7 +814,6 @@ def _fork_map(fn, items) -> list:
                     finally:
                         os._exit(1)
             pids.append(pid)
-        results = []
         for k, (pid, pipe) in enumerate(zip(pids, pipes)):
             data = pipe.read()  # before waitpid: a result larger than the pipe buffer blocks its writer
             status = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
@@ -821,7 +823,7 @@ def _fork_map(fn, items) -> list:
             ok, value = pickle.loads(data)
             if not ok:
                 raise value
-            results.append(value)
+            results[k::workers] = value
         return results
     finally:
         for pid in pids[reaped:]:
@@ -829,26 +831,6 @@ def _fork_map(fn, items) -> list:
             os.waitpid(pid, 0)
         for pipe in pipes:
             pipe.close()
-
-
-def _worker_count(limit: int) -> int:
-    """min(limit, usable CPUs), or 1 where ``os`` has no ``fork``."""
-    usable = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
-    return min(limit, usable) if hasattr(os, "fork") else 1
-
-
-def _map_pairs(fn, items: list) -> list:
-    """[fn(item) for item in items], in item order, on w =
-    ``_worker_count(len(items))`` workers, worker k taking items k, k + w,
-    k + 2w, ...  One worker runs here; w > 1 are forked children
-    (``_fork_map``) that pickle each result back, so a result should hold
-    only what the caller reads."""
-    workers = _worker_count(len(items))
-    results = [None] * len(items)
-    chunks = (map if workers == 1 else _fork_map)(lambda k: [fn(item) for item in items[k::workers]], range(workers))
-    for k, chunk in enumerate(chunks):
-        results[k::workers] = chunk
-    return results
 
 
 def sample_slice(
@@ -862,14 +844,12 @@ def sample_slice(
     The map needs ``eval_batch``; every map class of the package has one.
     Every operation inside a band is elementwise per pixel, so the output
     does not depend on the banding and is identical for any worker count.
-    A ``workers`` count below 1 raises ``ValueError``; otherwise
-    w = min(workers, usable CPUs, computed rows) workers take one band each,
-    worker k the computed rows k, k + w, k + 2w, ...  Work per row varies
-    smoothly, so the bands carry almost equal work (28.50M pixel-iterations
-    each on the benchmark's PROTO_1D raster), and numpy's per-step cost is
-    paid once per worker.  One worker classifies its band in this process;
-    w > 1 workers are forked children (``_fork_map``) that send their bands
-    back through pipes.  Where ``os`` has no ``fork``, w is 1.
+    A ``workers`` count below 1 raises ``ValueError``; otherwise the computed
+    rows are dealt to at most ``workers`` workers by ``_fork_map``, each
+    classifying its rows in one ``classify_batch`` call, so numpy's
+    per-step cost is paid once per worker.  Work per row varies smoothly,
+    so the workers carry almost equal work (28.50M pixel-iterations each on
+    the benchmark's PROTO_1D raster).
 
     On a conjugation-symmetric slice (``_computed_rows``) only rows
     [0, ceil(height / 2)) are classified, an odd height's middle row v = 0
@@ -888,12 +868,16 @@ def sample_slice(
     codes = np.zeros((spec.height, spec.width), dtype=np.uint8)
     iters = np.zeros((spec.height, spec.width), dtype=np.int32)
     rows = _computed_rows(map_obj, spec)
-    workers = _worker_count(min(workers, rows))
-    bands = [(map_obj, spec, cfg, k, rows, workers) for k in range(workers)]
-    results = (map if workers == 1 else _fork_map)(_classify_band, bands)
-    for k, (band_codes, band_iters) in enumerate(results):
-        codes[k:rows:workers] = band_codes
-        iters[k:rows:workers] = band_iters
+    us, vs = spec.axis_u(), spec.axis_v()
+
+    def band(rows_of_band: range) -> list:
+        band_codes, band_iters = classify_batch(
+            map_obj, spec.start_point(*np.meshgrid(us, [vs[i] for i in rows_of_band])), cfg)
+        # a forked worker pickles its rows back through a pipe: the least dtype that holds max_iter
+        return list(zip(band_codes, band_iters.astype(np.min_scalar_type(cfg.max_iter))))
+
+    for row, (row_codes, row_iters) in enumerate(_fork_map(band, range(rows), workers)):
+        codes[row], iters[row] = row_codes, row_iters
     codes[rows:] = codes[: spec.height - rows][::-1]
     iters[rows:] = iters[: spec.height - rows][::-1]
     return BasinRaster(codes=codes, iterations=iters)

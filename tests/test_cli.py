@@ -8,8 +8,8 @@ import os
 import numpy as np
 import pytest
 
-from shearbasins import cli
-from shearbasins.maps import map_from_spec
+from shearbasins import cli, maps
+from shearbasins.maps import ElementaryKind, map_from_spec
 from shearbasins.report import Report
 
 
@@ -204,6 +204,45 @@ def test_verify_exit_one_on_failure(monkeypatch, capsys):
     code, out, _ = run(capsys, "verify")
     assert code == 1
     assert "FAILURES present" in out
+
+
+def _verify_rows(out: str) -> dict:
+    """{row: (status, note)} of a verify text report."""
+    rows = [line.split("  ") for line in out.splitlines() if line[:4] in ("PASS", "FAIL", "SKIP")]
+    return {parts[1]: (parts[0].strip(), parts[-1][1:-1] if parts[-1].startswith("(") else "") for parts in rows}
+
+
+# each mutant is held in _FORMULAS for the whole run, since a word compiles
+# its batch step and its advance loop from the table on first use; the rows
+# that its error leaves not computed, with the error's class
+BROKEN_WORDS = {
+    "w^2 in both overshear exponents": (
+        {ElementaryKind.OVERSHEAR: ("{a} * w + 1e-3 * w * w", ["{z} * e"]),
+         ElementaryKind.OVERSHEAR_INV: ("-{a} * w + 1e-3 * w * w", ["{z} * e"])},
+        {"directions.residuals": "UnsupportedDimensionError"}),
+    "z in the overshear exponent": (
+        {ElementaryKind.OVERSHEAR: ("{a} * w + 1e-9 * z0", ["{z} * e"])},
+        {**dict.fromkeys(["maps.semiconjugacy.pointwise", "maps.semiconjugacy.jet", "maps.equivariance.algebraic",
+                          "maps.fixed_planes", "maps.symmetry_tF1_zF2"], "SemiConjugacyError"),
+         "directions.residuals": "UnsupportedDimensionError"}),
+}
+
+
+@pytest.mark.parametrize("name", BROKEN_WORDS)
+def test_verify_reports_a_broken_word_instead_of_raising(monkeypatch, capsys, name):
+    """A section of verify that raises UnsupportedDimensionError or
+    SemiConjugacyError on a broken word fails its rows not yet added, with
+    the error as their note; verify prints every row and exits 1."""
+    formulas, not_computed = BROKEN_WORDS[name]
+    for kind, formula in formulas.items():
+        monkeypatch.setitem(maps._FORMULAS, kind, formula)
+    code, out, _ = run(capsys, "verify")
+    rows = [line.split("  ") for line in out.splitlines() if line[:4] in ("PASS", "FAIL", "SKIP")]
+    assert code == 1
+    assert tuple(row[1] for row in rows) == cli.VERIFY_CHECK_NAMES
+    assert {row[1]: row[-1][len("(not computed: "):].split(":")[0]
+            for row in rows if row[-1].startswith("(not computed: ")} == not_computed
+    assert all(row[0] == "FAIL" for row in rows if row[1] in not_computed)
 
 
 # ----------------------------------------------------------------------

@@ -411,14 +411,28 @@ def test_fiber_trace_by_position_is_the_maximum_over_shared_indices(monkeypatch,
     assert struct.pack("<d", report["zeta_trace"].defect) == struct.pack("<d", worst)
 
 
+@pytest.mark.parametrize("seed, defect", [(0, 6.99e-10), (1, 8.05e-10)])
+def test_fiber_trace_fails_for_a_word_that_breaks_the_gauge(monkeypatch, seed, defect):
+    """The zeta_trace row can fail on a broken word, not only through overflow
+    or underflow: a 1e-9 z term in the overshear's exponent breaks the gauge
+    (z, t) -> (lam z, t / lam), and the products z*t of a gauged pair part.
+    The patch is held for the whole check, as the word compiles its advance
+    loop on first use."""
+    monkeypatch.setitem(maps._FORMULAS, ElementaryKind.OVERSHEAR, ("{a} * w + 1e-9 * z0", ["{z} * e"]))
+    report = check_fiber_invariance(build_F(P113), samples=10, rng=random.Random(seed))
+    assert report["zeta_trace"].status == "fail"
+    assert report["zeta_trace"].defect == pytest.approx(defect, rel=1e-3)
+
+
 @pytest.mark.parametrize("cpus", [2, 3])
 @pytest.mark.parametrize("n", [1, 2, 5])
 def test_map_pairs_deals_the_items_round_robin_and_keeps_their_order(monkeypatch, cpus, n):
-    """w = min(usable CPUs, items) workers, worker k taking items k, k + w, ...;
-    the results come back in item order, and one item runs in this process."""
+    """``_fork_map`` deals items to w = min(limit, usable CPUs, items) workers,
+    worker k taking items k, k + w, ...; the results come back in item order,
+    and one item runs in this process."""
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
     items = [f"pair {i}" for i in range(n)]
-    results = dynamics._map_pairs(lambda item: (item, os.getpid()), items)
+    results = dynamics._fork_map(lambda chunk: [(item, os.getpid()) for item in chunk], items, n)
     assert [item for item, _ in results] == items
     pids = [pid for _, pid in results]
     workers = min(cpus, n)
@@ -431,11 +445,17 @@ def test_map_pairs_deals_the_items_round_robin_and_keeps_their_order(monkeypatch
 
 @pytest.mark.parametrize("cpus, n, fork", [(1, 5, True), (3, 1, True), (3, 5, False)])
 def test_one_item_one_cpu_or_no_fork_runs_the_pairs_here(monkeypatch, cpus, n, fork):
+    """One worker, given every item in one call, runs in this process: no fork."""
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
-    if not fork:
+    if fork:
+        monkeypatch.setattr(os, "fork", lambda: pytest.fail("a process was started"))
+    else:
         monkeypatch.delattr(os, "fork")
-    monkeypatch.setattr(dynamics, "_fork_map", None)
-    assert dynamics._map_pairs(lambda item: (item, os.getpid()), list(range(n))) == [(i, os.getpid()) for i in range(n)]
+    chunks = []
+    results = dynamics._fork_map(lambda chunk: chunks.append(chunk) or [(i, os.getpid()) for i in chunk],
+                                 list(range(n)), n)
+    assert chunks == [list(range(n))]
+    assert results == [(i, os.getpid()) for i in range(n)]
 
 
 @pytest.mark.parametrize("pair", [0, 1])
@@ -561,66 +581,64 @@ def test_raster_deterministic_across_workers(monkeypatch):
         assert np.array_equal(raster.iterations, f3[0].iterations)
 
 
-def band_rows(args) -> list[int]:
-    """The rows of the slice that a ``_classify_band`` argument tuple covers."""
-    *_, first, rows, step = args
-    return list(range(first, rows, step))
-
-
 @pytest.fixture
-def serial_pool(monkeypatch):
-    """Stands in for the forked workers of ``_fork_map``: starts no process, and
-    records the worker count of each parallel raster and the rows of its bands."""
-    pools = []
+def dealt(monkeypatch):
+    """Wraps the real ``_fork_map`` and records, for each call, the items that
+    each worker was given (``bands``, in worker order) and the processes that
+    ran them: every result carries its worker's items and pid back."""
+    calls = []
+    fork_map = dynamics._fork_map
 
-    def serial_map(fn, items):
-        pools.append(SimpleNamespace(max_workers=len(items), bands=[band_rows(args) for args in items]))
-        return list(map(fn, items))
+    def spy(fn, items, limit):
+        def tagged(chunk):
+            tag = (list(chunk), os.getpid())
+            return [(result, tag) for result in fn(chunk)]
 
-    monkeypatch.setattr(dynamics, "_fork_map", serial_map)
+        results = fork_map(tagged, items, limit)
+        tags = {id(tag): tag for _, tag in results}.values()
+        calls.append(SimpleNamespace(bands=sorted(band for band, _ in tags), pids={pid for _, pid in tags}))
+        return [result for result, _ in results]
+
+    monkeypatch.setattr(dynamics, "_fork_map", spy)
+    return calls
+
+
+def test_sample_slice_starts_at_most_one_worker_per_usable_cpu(monkeypatch, dealt):
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
-    return pools
-
-
-def test_sample_slice_starts_at_most_one_worker_per_usable_cpu(monkeypatch, serial_pool):
     serial, _, _ = quad_raster(width=24, height=24, max_iter=300, workers=1)
     capped, _, _ = quad_raster(width=24, height=24, max_iter=300, workers=64)
     monkeypatch.delattr(os, "sched_getaffinity", raising=False)
     monkeypatch.setattr(os, "cpu_count", lambda: 3)
     quad_raster(width=24, height=24, max_iter=300, workers=64)
-    assert [pool.max_workers for pool in serial_pool] == [2, 3]
+    assert [len(call.bands) for call in dealt] == [1, 2, 3]
+    assert [len(call.pids) for call in dealt] == [1, 2, 3]
+    assert os.getpid() not in dealt[1].pids | dealt[2].pids
     assert np.array_equal(serial.codes, capped.codes)
     assert np.array_equal(serial.iterations, capped.iterations)
 
 
 @pytest.mark.parametrize("workers", [2, 3])
-def test_each_worker_takes_every_w_th_computed_row(monkeypatch, serial_pool, workers):
+def test_each_worker_takes_every_w_th_computed_row(monkeypatch, dealt, workers):
     """w workers take one band each, worker k the computed rows k, k + w, ...:
     the top half of a conjugation-symmetric slice, all rows of an asymmetric
     one.  The bands are disjoint, cover the computed rows, and give the
     serial codes and iterations."""
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(4)), raising=False)
-    serial_bands = []
-    classify_band = dynamics._classify_band
-    monkeypatch.setattr(dynamics, "_classify_band",
-                        lambda args: serial_bands.append(band_rows(args)) or classify_band(args))
     # 32x32 is verify's determinism raster, 400x400 the benchmark's two-worker
     # raster; an asymmetric v_range computes every row
     for side, v_range, rows in ((32, (-1.0, 1.0), 16), (400, (-1.0, 1.0), 200),
                                 (32, (-1.0, 0.9), 32), (400, (-1.0, 0.9), 400)):
-        serial_bands.clear()
         serial, _, _ = quad_raster(width=side, height=side, max_iter=60, workers=1, v_range=v_range)
-        assert serial_bands == [list(range(rows))]
+        assert dealt[-1].bands == [list(range(rows))]
         pooled, _, _ = quad_raster(width=side, height=side, max_iter=60, workers=workers, v_range=v_range)
-        pool = serial_pool[-1]
-        assert pool.max_workers == workers
-        assert pool.bands == [list(range(k, rows, workers)) for k in range(workers)]
-        assert sorted(row for band in pool.bands for row in band) == list(range(rows))
+        assert dealt[-1].bands == [list(range(k, rows, workers)) for k in range(workers)]
+        assert len(dealt[-1].pids) == workers
+        assert sorted(row for band in dealt[-1].bands for row in band) == list(range(rows))
         assert np.array_equal(serial.codes, pooled.codes)
         assert np.array_equal(serial.iterations, pooled.iterations)
 
 
-def test_no_more_workers_than_computed_rows(monkeypatch, serial_pool):
+def test_no_more_workers_than_computed_rows(monkeypatch, dealt):
     """Fewer computed rows than workers start one process per row, each with
     one row; a single computed row is classified in this process."""
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(4)), raising=False)
@@ -629,22 +647,27 @@ def test_no_more_workers_than_computed_rows(monkeypatch, serial_pool):
         pooled, _, _ = quad_raster(width=8, height=height, max_iter=60, workers=4, v_range=v_range)
         assert np.array_equal(serial.codes, pooled.codes)
         assert np.array_equal(serial.iterations, pooled.iterations)
-    assert [(pool.max_workers, pool.bands) for pool in serial_pool] == [(2, [[0], [1]]), (3, [[0], [1], [2]])]
+    assert [call.bands for call in dealt[1::2]] == [[[0], [1]], [[0], [1], [2]], [[0]]]
+    assert [len(call.pids) for call in dealt[1::2]] == [2, 3, 1]
+    assert dealt[-1].pids == {os.getpid()}
 
 
 def _failing_band(band, failure):
-    """A ``_classify_band`` that fails in band ``band`` by ``failure`` and
-    classifies the others."""
-    classify_band = dynamics._classify_band
+    """A ``_fork_map`` whose worker ``band``, the one given rows band, band + w,
+    ..., fails by ``failure``; the other workers classify their rows."""
+    fork_map = dynamics._fork_map
 
-    def classify(args):
-        if args[3] == band:
-            if failure == "raise":
-                raise ValueError(f"band {band} fails")
-            os.kill(os.getpid(), signal.SIGKILL)
-        return classify_band(args)
+    def failing_map(fn, items, limit):
+        def deal(chunk):
+            if chunk[0] == band:
+                if failure == "raise":
+                    raise ValueError(f"band {band} fails")
+                os.kill(os.getpid(), signal.SIGKILL)
+            return fn(chunk)
 
-    return classify
+        return fork_map(deal, items, limit)
+
+    return failing_map
 
 
 @pytest.mark.parametrize("band", [0, 1])
@@ -657,7 +680,7 @@ def test_a_failing_worker_fails_the_raster_and_leaves_no_process(monkeypatch, ba
     on its write: band 0 failing needs band 1 killed, band 1 failing needs
     band 0 read before it is waited for.  No child is left either way."""
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(4)), raising=False)
-    monkeypatch.setattr(dynamics, "_classify_band", _failing_band(band, failure))
+    monkeypatch.setattr(dynamics, "_fork_map", _failing_band(band, failure))
 
     def hung(signum, frame):
         raise TimeoutError("a worker was not read before its wait, or not killed")
@@ -674,14 +697,15 @@ def test_a_failing_worker_fails_the_raster_and_leaves_no_process(monkeypatch, ba
         os.waitpid(-1, os.WNOHANG)
 
 
-def test_without_fork_the_raster_runs_in_this_process(monkeypatch):
-    """Where ``os`` has no ``fork``, every band runs here: same codes and
-    iterations, no process started."""
+def test_without_fork_the_raster_runs_in_this_process(monkeypatch, dealt):
+    """Where ``os`` has no ``fork``, every row runs here in one band: same codes
+    and iterations, no process started."""
     serial, _, _ = quad_raster(width=24, height=24, max_iter=300, workers=1)
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(4)), raising=False)
     monkeypatch.delattr(os, "fork")
-    monkeypatch.setattr(dynamics, "_fork_map", None)
     alone, _, _ = quad_raster(width=24, height=24, max_iter=300, workers=3)
+    assert dealt[-1].bands == [list(range(12))]
+    assert dealt[-1].pids == {os.getpid()}
     assert np.array_equal(serial.codes, alone.codes)
     assert np.array_equal(serial.iterations, alone.iterations)
     with pytest.raises(ChildProcessError):
@@ -759,20 +783,22 @@ FULL_SLICES = {
 
 
 @pytest.mark.parametrize("name", [*MIRRORED_SLICES, *FULL_SLICES])
-def test_mirrored_raster_is_the_full_computation(monkeypatch, name):
+def test_mirrored_raster_is_the_full_computation(monkeypatch, dealt, name):
     """sample_slice classifies only the top half of a conjugation-symmetric
-    slice and mirrors the rest; codes and iterations equal, bit for bit,
-    classify_batch run on the start points of every row.  Any other slice,
-    and any map from outside the package, takes every row."""
+    slice, in one classify_batch call on those rows, and mirrors the rest;
+    codes and iterations equal, bit for bit, classify_batch run on the start
+    points of every row.  Any other slice, and any map from outside the
+    package, takes every row."""
     map_obj, spec = {**MIRRORED_SLICES, **FULL_SLICES}[name]
     cfg = OrbitConfig(max_iter=800, eps_converged=0.05, record_stride=1000)
-    bands = []
-    classify_band = dynamics._classify_band
-    monkeypatch.setattr(dynamics, "_classify_band", lambda args: bands.append(band_rows(args)) or classify_band(args))
+    shapes = []
+    monkeypatch.setattr(dynamics, "classify_batch",
+                        lambda m, coords, c: shapes.append(np.shape(coords[0])) or classify_batch(m, coords, c))
     raster = sample_slice(map_obj, spec, cfg)
     codes, iters = full_height(map_obj, spec, cfg)
     rows = (spec.height + 1) // 2 if name in MIRRORED_SLICES else spec.height
-    assert bands == [list(range(rows))]
+    assert [call.bands for call in dealt] == [[list(range(rows))]]
+    assert shapes == [(rows, spec.width)]
     assert np.array_equal(raster.codes, codes)
     assert np.array_equal(raster.iterations, iters)
 

@@ -149,13 +149,22 @@ def _check_directions(report: Report, word: MapWord) -> None:
 
 
 def _check_dynamics(report: Report, word: MapWord, rng: random.Random) -> None:
-    report.extend("dynamics.fiber_invariance", dyn.check_fiber_invariance(word, samples=10, rng=rng))
-
+    """The orbit checks' jobs, built in row order (so the samples are drawn in
+    that order), run in one ``dyn.run_orbit_jobs`` call, which gives the
+    checks' results in the same order."""
     _, no_petal, no_w_decay, _ = dyn.petal_premises(word)
-    if no_petal or no_w_decay:
-        report.add("dynamics.petal_rate", True, status=SKIP, note=no_petal or no_w_decay)
+    skip_petal = no_petal or no_w_decay
+    checks = [dyn.fiber_invariance_jobs(word, samples=10, rng=rng)]
+    checks += [] if skip_petal else [dyn.petal_rate_jobs(word, zeta0=0.01, n_steps=10_000)]
+    checks += [dyn.trace_consistency_jobs(word), dyn.projection_status_jobs(word, samples=20, rng=rng),
+               dyn.product_recursion_jobs(samples=50, rng=rng)]
+    results = dyn.run_orbit_jobs(checks)
+
+    report.extend("dynamics.fiber_invariance", next(results))
+    if skip_petal:
+        report.add("dynamics.petal_rate", True, status=SKIP, note=skip_petal)
     else:
-        rate = dyn.petal_rate(word, zeta0=0.01, n_steps=10_000)
+        rate = next(results)
         target = 1.0 / sum(word.factors[0].weights)
         in_band = abs(rate["n_zeta"] - target) <= 0.15 * abs(target)
         shape_ok = rate["real"] and rate["positive"] and rate["strictly_decreasing"]
@@ -163,9 +172,9 @@ def _check_dynamics(report: Report, word: MapWord, rng: random.Random) -> None:
                    defect=abs(rate["n_zeta"] - target),
                    note=f"n*zeta_n = {rate['n_zeta']:.4f} at n = {rate['n']}, target 1/(a+b) = {target:.4f}")
 
-    report.extend("dynamics.trace_1d3d", dyn.check_trace_consistency(word))
-    report.extend("dynamics.projection_statuses", dyn.check_projection_statuses(word, samples=20, rng=rng))
-    report.extend("dynamics.product_recursion", dyn.check_product_recursion(samples=50, rng=rng))
+    report.extend("dynamics.trace_1d3d", next(results))
+    report.extend("dynamics.projection_statuses", next(results))
+    report.extend("dynamics.product_recursion", next(results))
 
 
 def run_verify_suite(word: MapWord, seed: int = 0) -> Report:
@@ -175,7 +184,9 @@ def run_verify_suite(word: MapWord, seed: int = 0) -> Report:
     dynamics section raises ``UnsupportedDimensionError`` or
     ``SemiConjugacyError``, each of its rows not yet added fails with the
     error as its note.  ``DomainError`` still raises: a jet that overflows
-    is invalid input (exit 2).
+    is invalid input (exit 2).  The dynamics section runs every orbit job
+    of its checks in one ``dynamics._fork_map`` call; a job's error is
+    raised at its own check, so the rows of the checks before it stand.
     """
     rng = random.Random(seed)
     (a, b), c = word.factors[0].weights, word.factors[0].w_coeff

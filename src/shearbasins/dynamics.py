@@ -28,13 +28,15 @@ concerns; any other evaluator it calls once per step.
 from __future__ import annotations
 
 import cmath
+import functools
 import math
+import operator
 import os
 import pickle
 import random
 import signal
 from dataclasses import asdict, dataclass
-from typing import Callable, Protocol, Sequence
+from typing import Callable, Iterator, NamedTuple, Protocol, Sequence
 
 import numpy as np
 
@@ -310,13 +312,61 @@ def check_equivariance(word: MapWord, rng=None) -> Report:
     return report
 
 
+class OrbitJobs(NamedTuple):
+    """A check's independent orbit jobs, calls without arguments whose results
+    a forked worker pickles back, and ``finish``, which makes the check's
+    result from the list of theirs."""
+
+    jobs: list[Callable[[], object]]
+    finish: Callable[[list], object]
+
+
+def _outcome(job: Callable[[], object]) -> object:
+    """The job's result, or the exception it raised."""
+    try:
+        return job()
+    except Exception as exc:  # raised again by run_orbit_jobs at the job's own check
+        return exc
+
+
+def run_orbit_jobs(checks: Sequence[OrbitJobs]) -> Iterator:
+    """Yields each check's result, in check order, from one ``_fork_map``
+    call, made at the first ``next``, that deals the jobs of all the checks
+    together in check order.
+
+    A job that raises sends its exception back as its result, and the
+    first such exception of a check is raised when that check's turn comes:
+    the checks before it still give their results.  A worker that dies
+    raises at the first check, from ``_fork_map``.
+    """
+    jobs = [job for check in checks for job in check.jobs]
+    results = _fork_map(lambda chunk: [_outcome(job) for job in chunk], jobs, len(jobs))
+    start = 0
+    for check in checks:
+        mine, start = results[start:start + len(check.jobs)], start + len(check.jobs)
+        failed = next((r for r in mine if isinstance(r, Exception)), None)
+        if failed is not None:
+            raise failed
+        yield check.finish(mine)
+
+
+def _run(check: OrbitJobs):
+    return next(run_orbit_jobs([check]))
+
+
 def check_fiber_invariance(word: MapWord, samples: int = 20, rng=None) -> Report:
     """Status and zeta-trace depend only on (z t, w): the products z*t of two
-    gauged orbits agree at every index that both record.  The pairs go
-    through ``_fork_map``, each sending back its status kinds and trace defect."""
+    gauged orbits agree at every index that both record.  Each pair is a
+    job of ``fiber_invariance_jobs`` that sends back its status kinds and
+    trace defect; ``verify`` deals these jobs together with those of the
+    other orbit checks."""
+    return _run(fiber_invariance_jobs(word, samples, rng))
+
+
+def fiber_invariance_jobs(word: MapWord, samples: int = 20, rng=None) -> OrbitJobs:
+    """The jobs of ``check_fiber_invariance``, one per pair of start points drawn here."""
     rng = rng or random.Random(0)
     cfg = OrbitConfig(max_iter=20_000, eps_converged=0.02, record_stride=10)
-    report = Report(title="fiber invariance")
 
     starts = []
     for _ in range(samples):
@@ -334,24 +384,28 @@ def check_fiber_invariance(word: MapWord, samples: int = 20, rng=None) -> Report
             for n1, n2, q1, q2 in zip(o1.indices, o2.indices, o1.points, o2.points) if n1 == n2
         )
 
-    worst_trace = 0.0
-    status_agree = 0
-    borderline = 0
-    for kind1, kind2, trace in _fork_map(lambda pairs: [run_pair(pair) for pair in pairs], starts, samples):
-        if kind1 == kind2:
-            status_agree += 1
-        elif UNDECIDED in (kind1, kind2):
-            borderline += 1
-        worst_trace = max(worst_trace, trace)
-    report.add("zeta_trace", worst_trace <= 1e-10, defect=worst_trace, tolerance=1e-10)
-    report.add(
-        "status",
-        status_agree + borderline == samples,
-        defect=float(samples - status_agree - borderline),
-        note=f"{status_agree}/{samples} same classification"
-        + (f", {borderline} undecided-borderline excluded" if borderline else ""),
-    )
-    return report
+    def finish(pairs: list) -> Report:
+        report = Report(title="fiber invariance")
+        worst_trace = 0.0
+        status_agree = 0
+        borderline = 0
+        for kind1, kind2, trace in pairs:
+            if kind1 == kind2:
+                status_agree += 1
+            elif UNDECIDED in (kind1, kind2):
+                borderline += 1
+            worst_trace = max(worst_trace, trace)
+        report.add("zeta_trace", worst_trace <= 1e-10, defect=worst_trace, tolerance=1e-10)
+        report.add(
+            "status",
+            status_agree + borderline == samples,
+            defect=float(samples - status_agree - borderline),
+            note=f"{status_agree}/{samples} same classification"
+            + (f", {borderline} undecided-borderline excluded" if borderline else ""),
+        )
+        return report
+
+    return OrbitJobs([functools.partial(run_pair, start) for start in starts], finish)
 
 
 def petal_premises(word: MapWord) -> tuple[float, str | None, str | None, str | None]:
@@ -386,114 +440,134 @@ def check_projection_statuses(word: MapWord, samples: int = 50, rng=None) -> Rep
     ``petal_premises``; a row whose premise fails is skipped with its note:
     the petal exists for both probes, w decays along it for the attracting
     one and ``both_classes_observed``, and z and t decay along it for the
-    attracting probe and ``status_agreement``.  The sampled pairs go through
-    ``_fork_map``, each sending back its two ``Status``es; the probes run here.
+    attracting probe and ``status_agreement``.  Each sampled pair and each
+    probe that runs is a job of ``projection_status_jobs`` that sends back
+    its two ``Status``es; ``verify`` deals these jobs together with those
+    of the other orbit checks.
     """
+    return _run(projection_status_jobs(word, samples, rng))
+
+
+def projection_status_jobs(word: MapWord, samples: int = 50, rng=None) -> OrbitJobs:
+    """The jobs of ``check_projection_statuses``: the pairs of start points
+    drawn here, then the side probes that are not skipped, then the fixed line."""
     rng = rng or random.Random(0)
     cfg = OrbitConfig(max_iter=20_000, eps_converged=0.02, record_stride=10_000)
     radius = 0.08
-    report = Report(title="projection statuses")
     planar = planar_word(word)
 
     def pair_statuses(x: complex, y: complex) -> tuple[Status, Status]:
         s = cmath.sqrt(x)
         return (iterate(planar, (x, y), cfg).status, iterate(word, (s, s, y), cfg).status)
 
-    agree = 0
-    excluded = 0
-    decided_kinds: set[str] = set()
-    disagreements: list[str] = []
     starts = [(sample_disk(rng, radius), sample_disk(rng, radius)) for _ in range(samples)]
-    statuses = _fork_map(lambda pairs: [pair_statuses(*pair) for pair in pairs], starts, samples)
-    for (x, _), (down, up) in zip(starts, statuses):
-        if UNDECIDED in (down.kind, up.kind):
-            excluded += 1
-            continue
-        decided_kinds.add(down.kind)
-        if down.kind == up.kind:
-            agree += 1
-        else:
-            disagreements.append(
-                f"x={x:.4g}: planar {down.kind} vs lift {up.kind} "
-                f"(Re x sign {math.copysign(1, x.real):+.0f})"
-            )
-    compared = samples - excluded
     side, no_petal, no_w_decay, no_lift_decay = petal_premises(word)
-    if no_lift_decay:
-        report.add("status_agreement", True, status=SKIP, note=no_lift_decay)
-    else:
-        report.add(
-            "status_agreement",
-            not disagreements and compared > 0,
-            defect=float(len(disagreements)),
-            note=f"{agree}/{compared} compared agree, {excluded} undecided-borderline excluded"
-            + ("; " + "; ".join(disagreements) if disagreements else ""),
-        )
-
-    # deterministic probes on both sides of the petal
     premise = no_petal or no_w_decay
-    for name, x, skip in (("attracting_side", side * radius / 4, premise or no_lift_decay),
-                          ("repelling_side", -side * 0.01, no_petal)):
-        if skip:
-            report.add(name, True, status=SKIP, note=skip)
-            continue
-        down, up = pair_statuses(complex(x), 0.01 + 0j)
-        kinds = {down.kind, up.kind}
-        report.add(name, kinds == {CONVERGED} if name == "attracting_side" else CONVERGED not in kinds,
-                   note=f"x={x:g}: planar {down}, lift {up}")
-        decided_kinds.add(down.kind)
-
-    if premise:
-        report.add("both_classes_observed", True, status=SKIP, note=premise)
-    else:
-        report.add("both_classes_observed", decided_kinds >= {CONVERGED, ESCAPED},
-                   note=f"decided kinds seen: {sorted(decided_kinds)}")
-
+    # deterministic probes on both sides of the petal
+    probes = (("attracting_side", side * radius / 4, premise or no_lift_decay),
+              ("repelling_side", -side * 0.01, no_petal))
     # the line x = 0 is fixed pointwise and never converges to the origin
     y0 = 0.05 + 0j
-    down, up = pair_statuses(0j, y0)
-    fixed_ok = down.kind == UNDECIDED and up.kind == UNDECIDED
-    report.add("fixed_line", fixed_ok, note=f"(0, {y0.real:g}) stays fixed: planar {down}, lift {up}")
-    return report
+
+    def finish(statuses: list) -> Report:
+        report = Report(title="projection statuses")
+        agree = 0
+        excluded = 0
+        decided_kinds: set[str] = set()
+        disagreements: list[str] = []
+        for (x, _), (down, up) in zip(starts, statuses):
+            if UNDECIDED in (down.kind, up.kind):
+                excluded += 1
+                continue
+            decided_kinds.add(down.kind)
+            if down.kind == up.kind:
+                agree += 1
+            else:
+                disagreements.append(
+                    f"x={x:.4g}: planar {down.kind} vs lift {up.kind} "
+                    f"(Re x sign {math.copysign(1, x.real):+.0f})"
+                )
+        compared = samples - excluded
+        if no_lift_decay:
+            report.add("status_agreement", True, status=SKIP, note=no_lift_decay)
+        else:
+            report.add(
+                "status_agreement",
+                not disagreements and compared > 0,
+                defect=float(len(disagreements)),
+                note=f"{agree}/{compared} compared agree, {excluded} undecided-borderline excluded"
+                + ("; " + "; ".join(disagreements) if disagreements else ""),
+            )
+
+        probed = iter(statuses[samples:])
+        for name, x, skip in probes:
+            if skip:
+                report.add(name, True, status=SKIP, note=skip)
+                continue
+            down, up = next(probed)
+            kinds = {down.kind, up.kind}
+            report.add(name, kinds == {CONVERGED} if name == "attracting_side" else CONVERGED not in kinds,
+                       note=f"x={x:g}: planar {down}, lift {up}")
+            decided_kinds.add(down.kind)
+
+        if premise:
+            report.add("both_classes_observed", True, status=SKIP, note=premise)
+        else:
+            report.add("both_classes_observed", decided_kinds >= {CONVERGED, ESCAPED},
+                       note=f"decided kinds seen: {sorted(decided_kinds)}")
+
+        down, up = next(probed)
+        fixed_ok = down.kind == UNDECIDED and up.kind == UNDECIDED
+        report.add("fixed_line", fixed_ok, note=f"(0, {y0.real:g}) stays fixed: planar {down}, lift {up}")
+        return report
+
+    runs = starts + [(complex(x), 0.01 + 0j) for _, x, skip in probes if not skip] + [(0j, y0)]
+    return OrbitJobs([functools.partial(pair_statuses, *start) for start in runs], finish)
 
 
-def check_product_recursion(
-    samples: int = 100,
-    rng=None,
-    steps: int = 100,
-    tol: float = 1e-14,
-) -> Report:
-    """The 2D product prototype sends u = z w to u (1 + u/2)^2 exactly."""
+def check_product_recursion(samples: int = 100, rng=None, steps: int = 100, tol: float = 1e-14) -> Report:
+    """The 2D product prototype sends u = z w to u (1 + u/2)^2 exactly.
+
+    All its orbits are the one job of ``product_recursion_jobs``, which
+    sends back the worst relative defect; ``verify`` deals that job
+    together with those of the other orbit checks."""
+    return _run(product_recursion_jobs(samples, rng, steps, tol))
+
+
+def product_recursion_jobs(samples: int = 100, rng=None, steps: int = 100, tol: float = 1e-14) -> OrbitJobs:
+    """The one job of ``check_product_recursion``, from start points drawn here."""
     rng = rng or random.Random(0)
     proto = Prototype("product_2d")
-    report = Report(title="product recursion")
-    worst = 0.0
-    for _ in range(samples):
-        p = sample_ball_point(rng, 2, 0.3)
-        for _ in range(steps):
-            u = p[0] * p[1]
-            q = proto(p)
-            if _norm(q) > 1e6 or not _finite(q):
-                break
-            predicted = u * (1 + 0.5 * u) ** 2
-            actual = q[0] * q[1]
-            scale = max(abs(actual), abs(predicted), 1e-300)
-            worst = max(worst, abs(actual - predicted) / scale)
-            p = q
-    report.add("recursion", worst <= tol, defect=worst, tolerance=tol,
-               note=f"{samples} orbits, {steps} steps, radius 0.3")
+    starts = [sample_ball_point(rng, 2, 0.3) for _ in range(samples)]
 
-    p = (0.2 + 0j, 0j)
-    q = proto(p)
-    report.add("axis_preserved", q == p, note="points with w=0 are fixed")
-    return report
+    def worst_defect() -> float:
+        worst = 0.0
+        for p in starts:
+            for _ in range(steps):
+                u = p[0] * p[1]
+                q = proto(p)
+                if _norm(q) > 1e6 or not _finite(q):
+                    break
+                predicted = u * (1 + 0.5 * u) ** 2
+                actual = q[0] * q[1]
+                scale = max(abs(actual), abs(predicted), 1e-300)
+                worst = max(worst, abs(actual - predicted) / scale)
+                p = q
+        return worst
+
+    def finish(results: list) -> Report:
+        report = Report(title="product recursion")
+        worst = results[0]
+        report.add("recursion", worst <= tol, defect=worst, tolerance=tol,
+                   note=f"{samples} orbits, {steps} steps, radius 0.3")
+        p = (0.2 + 0j, 0j)
+        report.add("axis_preserved", proto(p) == p, note="points with w=0 are fixed")
+        return report
+
+    return OrbitJobs([worst_defect], finish)
 
 
-def petal_rate(
-    word: MapWord,
-    zeta0: float = 0.01,
-    n_steps: int = 10_000,
-) -> dict:
+def petal_rate(word: MapWord, zeta0: float = 0.01, n_steps: int = 10_000) -> dict:
     """Leau-Fatou decay along the petal: n * zeta_n approaches 1/(a+b).
 
     Starts at (s, s, 0) with s = sqrt(sign(a + b) zeta0), on the ray of
@@ -501,31 +575,42 @@ def petal_rate(
     and strictly decreasing.  Each step is observed, not recorded: ``iterate``
     calls an evaluator without ``advance`` once per step, in order, so the
     flags read the product of every point of the orbit while it records
-    only the first and the last.
+    only the first and the last.  The orbit is the one job of
+    ``petal_rate_jobs``; ``verify`` deals it together with the jobs of the
+    other orbit checks.
     """
+    return _run(petal_rate_jobs(word, zeta0, n_steps))
+
+
+def petal_rate_jobs(word: MapWord, zeta0: float = 0.01, n_steps: int = 10_000) -> OrbitJobs:
+    """The one job of ``petal_rate``, which sends back its dict."""
     side = petal_premises(word)[0]
     s = cmath.sqrt(side * zeta0)
     cfg = OrbitConfig(max_iter=n_steps, eps_converged=1e-15, escape_radius=10.0, record_stride=n_steps)
-    zeta = s * s
-    real, positive, decreasing = zeta.imag == 0.0, side * zeta.real > 0.0, True
 
-    def step(p):
-        nonlocal zeta, real, positive, decreasing
-        q = word(p)
-        prev, zeta = zeta, q[0] * q[1]
-        real = real and zeta.imag == 0.0
-        positive = positive and side * zeta.real > 0.0
-        decreasing = decreasing and side * zeta.real < side * prev.real
-        return q
+    def rate() -> dict:
+        zeta = s * s
+        real, positive, decreasing = zeta.imag == 0.0, side * zeta.real > 0.0, True
 
-    n = iterate(step, (s, s, 0.0), cfg).indices[-1]
-    return {
-        "n": n,
-        "n_zeta": n * zeta.real,
-        "real": real,
-        "positive": positive,
-        "strictly_decreasing": decreasing,
-    }
+        def step(p):
+            nonlocal zeta, real, positive, decreasing
+            q = word(p)
+            prev, zeta = zeta, q[0] * q[1]
+            real = real and zeta.imag == 0.0
+            positive = positive and side * zeta.real > 0.0
+            decreasing = decreasing and side * zeta.real < side * prev.real
+            return q
+
+        n = iterate(step, (s, s, 0.0), cfg).indices[-1]
+        return {
+            "n": n,
+            "n_zeta": n * zeta.real,
+            "real": real,
+            "positive": positive,
+            "strictly_decreasing": decreasing,
+        }
+
+    return OrbitJobs([rate], operator.itemgetter(0))
 
 
 def check_trace_consistency(word: MapWord) -> Report:
@@ -537,32 +622,45 @@ def check_trace_consistency(word: MapWord) -> Report:
     semi-conjugacy.  Freezing the second planar coordinate at zero would
     not reproduce the trace: the {w = 0} plane is not invariant downstairs,
     as the w-image of (z, t, 0) carries a cubic term in the product
-    coordinate (a note of the report says so).
+    coordinate (a note of the report says so).  The orbit is the one job of
+    ``trace_consistency_jobs``, which sends back the worst defect;
+    ``verify`` deals it together with the jobs of the other orbit checks.
     """
-    report = Report(title="planar trace consistency")
+    return _run(trace_consistency_jobs(word))
+
+
+def trace_consistency_jobs(word: MapWord) -> OrbitJobs:
+    """The one job of ``check_trace_consistency``."""
     zeta0 = 0.01
     s = math.sqrt(zeta0)
     cfg = OrbitConfig(max_iter=1500, eps_converged=1e-15, escape_radius=10.0, record_stride=1500)
     planar = planar_word(word)
-    q = (complex(zeta0), 0j)
-    worst_true = 0.0
 
-    def step(p):
-        nonlocal q, worst_true
-        p = word(p)
-        q = planar(q)
-        worst_true = max(worst_true, abs(p[0] * p[1] - q[0]))
-        return p
+    def worst_defect() -> float:
+        q = (complex(zeta0), 0j)
+        worst = 0.0
 
-    iterate(step, (s, s, 0.0), cfg)
-    report.add("projected_orbit", worst_true <= 1e-10, defect=worst_true, tolerance=1e-10,
-               note="zeta trace equals the true planar orbit")
+        def step(p):
+            nonlocal q, worst
+            p = word(p)
+            q = planar(q)
+            worst = max(worst, abs(p[0] * p[1] - q[0]))
+            return p
 
-    report.notes.append(
-        "the w-image of (z, t, 0) has a nonzero cubic term in zeta, so {w=0} is not invariant "
-        "for the induced planar map; only the full planar orbit reproduces the zeta trace"
-    )
-    return report
+        iterate(step, (s, s, 0.0), cfg)
+        return worst
+
+    def finish(results: list) -> Report:
+        report = Report(title="planar trace consistency")
+        report.add("projected_orbit", results[0] <= 1e-10, defect=results[0], tolerance=1e-10,
+                   note="zeta trace equals the true planar orbit")
+        report.notes.append(
+            "the w-image of (z, t, 0) has a nonzero cubic term in zeta, so {w=0} is not invariant "
+            "for the induced planar map; only the full planar orbit reproduces the zeta trace"
+        )
+        return report
+
+    return OrbitJobs([worst_defect], finish)
 
 
 # ----------------------------------------------------------------------
@@ -787,6 +885,9 @@ def _fork_map(fn, items: Sequence, limit: int) -> list:
     that pickles (ok, results or exception) into its own pipe, so a result
     should hold only what the caller reads.  A child's exception is raised
     here, a lost child is a RuntimeError, and no child outlives the call.
+    It has two callers, each forking once per call: ``sample_slice`` for a
+    raster's computed rows and ``run_orbit_jobs`` for the orbit jobs of
+    ``verify``, all of them in one call.
     """
     usable = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
     workers = min(limit, len(items), usable) if hasattr(os, "fork") else 1

@@ -395,10 +395,6 @@ class JetMap:
             raise DimensionError("minus_identity needs a self-map")
         return JetMap([c - Jet.variable(self.k, self.order, i) for i, c in enumerate(self.components)])
 
-    def jacobian(self) -> list[list[Jet]]:
-        """Matrix of partial derivatives; entry (i, j) is d component_i / d x_j."""
-        return [[c.derivative(j) for j in range(self.k)] for c in self.components]
-
     def to_dict(self) -> dict:
         return {"components": [c.to_dict() for c in self.components]}
 

@@ -35,6 +35,7 @@ from shearbasins.directions import (
 )
 from shearbasins.jets import DomainError, Jet, JetMap
 from shearbasins.maps import Params, Prototype, build_F, build_family, planar_word, push_forward
+from tests.test_jets import jacobian
 
 
 def planar_part(a, c, order=2):
@@ -185,7 +186,7 @@ def eigen_directors(lt, d):
     chart of the largest coordinate of v, where row i of the quotient is row i
     minus v_i / v_chart times the chart's row."""
     k, v = lt.part.k, d.v
-    jac = lt.part.jacobian()
+    jac = jacobian(lt.part)
     a = np.array([[jac[i][j](v) for j in range(k)] for i in range(k)], dtype=complex) / d.lam
     chart = int(np.argmax(np.abs(v)))
     rows = [i for i in range(k) if i != chart]
@@ -248,7 +249,7 @@ def test_euler_identity_on_found_directions():
     lts = [leading_term(build_F(Params(1, 1, 3)).jet(6))]
     lts += [leading_term(word.jet(word.dim)) for word, _ in random_words(random.Random(2874), 30)]
     for lt in lts:
-        jac, k = lt.part.jacobian(), lt.part.k
+        jac, k = jacobian(lt.part), lt.part.k
         for d in characteristic_directions(lt):
             if d.degenerate:
                 continue

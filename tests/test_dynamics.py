@@ -24,7 +24,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from shearbasins import dynamics, maps
+from shearbasins import cli, dynamics, maps
 from shearbasins.dynamics import (
     CODE_CONVERGED,
     CODE_ESCAPED,
@@ -485,6 +485,84 @@ def test_a_failing_pair_fails_the_fiber_check_and_leaves_no_process(monkeypatch,
         check_fiber_invariance(word, samples=4, rng=random.Random(0))
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
+
+
+def test_verify_deals_every_orbit_job_in_one_call(monkeypatch):
+    """``run_verify_suite`` on F3 (1, 1, 3) deals its 36 orbit jobs (10 fibre
+    pairs, petal_rate, the trace orbit, 20 projection pairs, 3 probes and
+    product recursion) in one ``_fork_map`` call: one fork per usable CPU,
+    none at one CPU, and the same report either way."""
+    calls, forks = [], []
+    fork_map, fork = dynamics._fork_map, os.fork
+    monkeypatch.setattr(dynamics, "_fork_map",
+                        lambda fn, items, limit: calls.append(len(items)) or fork_map(fn, items, limit))
+    monkeypatch.setattr(os, "fork", lambda: forks.append(1) or fork())
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    two = cli.run_verify_suite(build_F(P113), seed=0)
+    assert (calls, len(forks)) == ([36], 2)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+    monkeypatch.setattr(os, "fork", lambda: pytest.fail("a process was started"))
+    one = cli.run_verify_suite(build_F(P113), seed=0)
+    assert calls == [36, 36]
+    assert one.to_dict() == two.to_dict()
+
+
+def _with_job(monkeypatch, jobs_of: str, index: int, job) -> None:
+    """Replaces job ``index`` of the check that ``dynamics.<jobs_of>`` builds."""
+    real = getattr(dynamics, jobs_of)
+
+    def patched(*args, **kwargs):
+        jobs, finish = real(*args, **kwargs)
+        return dynamics.OrbitJobs(jobs[:index] + [job] + jobs[index + 1:], finish)
+
+    monkeypatch.setattr(dynamics, jobs_of, patched)
+
+
+@pytest.mark.parametrize("job", [0, 1])
+@pytest.mark.parametrize("failure, error, match", [("raise", ValueError, "job fails in a worker"),
+                                                   ("sigkill", RuntimeError, "exit code -9")])
+def test_a_failing_orbit_job_fails_verify_and_leaves_no_process(monkeypatch, job, failure, error, match):
+    """A job of verify that raises in its forked worker raises the same type
+    through ``run_verify_suite``; a worker killed by a signal raises
+    RuntimeError.  Fibre pair 0 runs in worker 0, pair 1 in worker 1.  No
+    child is left either way."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    parent = os.getpid()
+
+    def fails():
+        if failure == "raise" or os.getpid() == parent:
+            raise ValueError("job fails" + (" in a worker" if os.getpid() != parent else ""))
+        os.kill(os.getpid(), signal.SIGKILL)
+
+    _with_job(monkeypatch, "fiber_invariance_jobs", job, fails)
+    with pytest.raises(error, match=match):
+        cli.run_verify_suite(build_F(P113), seed=0)
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@pytest.mark.parametrize("cpus", [1, 2])
+def test_a_failing_projection_job_keeps_the_rows_before_it(monkeypatch, cpus):
+    """One projection pair that raises SemiConjugacyError fails the
+    projection and product recursion rows, which are not yet added when
+    their turn comes, with the error as the note; every row before them
+    reads as without the error."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
+    whole = cli.run_verify_suite(build_F(P113), seed=0)
+
+    def fails():
+        raise maps.SemiConjugacyError("pair 3 does not descend")
+
+    _with_job(monkeypatch, "projection_status_jobs", 3, fails)
+    partial = cli.run_verify_suite(build_F(P113), seed=0)
+    lost = [c.name for c in partial.checks if c.name.startswith(("dynamics.projection_statuses.",
+                                                                 "dynamics.product_recursion."))]
+    assert len(lost) == 7
+    for before, after in zip(whole.checks, partial.checks):
+        if after.name in lost:
+            assert (after.status, after.note) == ("fail", "not computed: SemiConjugacyError: pair 3 does not descend")
+        else:
+            assert after.line() == before.line()
 
 
 def traced_peak(fn) -> int:

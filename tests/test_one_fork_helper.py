@@ -4,8 +4,10 @@
 ``_fork_map`` is the one place that decides how many workers run, which items
 each worker takes and how the results come back, for the raster's rows and
 for ``verify``'s orbit pairs alike, so a second dealer cannot drift from the
-first.  The check parses each module with ``ast``, as
-``tests/test_one_petal_premise.py`` does.
+first.  It is called twice: by ``sample_slice`` for a raster's rows and by
+``run_orbit_jobs`` for every orbit job of ``verify``, so a check that forks
+its own workers again fails here.  The checks parse each module with
+``ast``, as ``tests/test_one_petal_premise.py`` does.
 """
 
 import ast
@@ -54,3 +56,33 @@ def test_the_check_finds_a_read_outside_the_dealer():
 @pytest.mark.parametrize("module", MODULES)
 def test_only_the_fork_helper_reads_the_process_calls(module):
     assert reads_outside((PACKAGE / module).read_text(), DEALER.get(module)) == []
+
+
+def fork_map_callers(source: str) -> list[str | None]:
+    """The top-level function around each call of ``_fork_map``, by name or
+    as an attribute, in source order; None for a call outside any function."""
+    tree = ast.parse(source)
+    owner = {id(n): node.name for node in tree.body if isinstance(node, ast.FunctionDef) for n in ast.walk(node)}
+    calls = [n for n in ast.walk(tree) if isinstance(n, ast.Call) and "_fork_map" in (
+        getattr(n.func, "id", None), getattr(n.func, "attr", None))]
+    return [owner.get(id(n)) for n in sorted(calls, key=lambda n: (n.lineno, n.col_offset))]
+
+
+def test_the_check_finds_each_call_of_the_fork_helper():
+    source = (
+        "from . import dynamics\n"
+        "def sample_slice(rows):\n"
+        "    return _fork_map(len, rows, 2)\n"
+        "def check(word):\n"
+        "    def pairs(items):\n"
+        "        return dynamics._fork_map(word, items, len(items))\n"
+        "    return pairs\n"
+        "RESULTS = _fork_map(len, [], 1)\n"
+    )
+    assert fork_map_callers(source) == ["sample_slice", "check", None]
+
+
+def test_the_raster_and_the_orbit_job_runner_are_the_only_callers():
+    callers = {module: fork_map_callers((PACKAGE / module).read_text()) for module in MODULES}
+    assert {module: found for module, found in callers.items() if found} == {
+        "dynamics.py": ["run_orbit_jobs", "sample_slice"]}

@@ -216,15 +216,15 @@ def run_verify_suite(word: MapWord, seed: int = 0) -> Report:
 # config plumbing
 
 
-def _apply_config_file(ns: argparse.Namespace, parser: argparse.ArgumentParser) -> None:
+def _apply_config_file(ns: argparse.Namespace, command: argparse.ArgumentParser) -> None:
     """Override the flags with a JSON object whose keys are options of the
-    command; a map spec (``family`` names the map) may stand at the top
-    level or under ``map``.  Each value passes through its option's type
-    (str if it has none) as a flag's text: a string as it is, any other
-    value as its JSON text, so ``true`` or 6.7 is no int.  A list is
-    accepted only by an option that takes several values, with as many
-    items as the option takes.  Any other key, value or top level is
-    invalid."""
+    command, whose parser is ``command``; a map spec (``family`` names the
+    map) may stand at the top level or under ``map``.  Each value passes
+    through its option's type (str if it has none) as a flag's text: a
+    string as it is, any other value as its JSON text, so ``true`` or 6.7
+    is no int.  A list is accepted only by an option that takes several
+    values, with as many items as the option takes.  Any other key, value
+    or top level is invalid."""
     if not getattr(ns, "config", None):
         return
     with open(ns.config) as handle:
@@ -235,7 +235,6 @@ def _apply_config_file(ns: argparse.Namespace, parser: argparse.ArgumentParser) 
         data = {**data.pop("map"), **data}
     if "family" in data:  # map spec at the top level
         data = {"map": data["family"], **{k: v for k, v in data.items() if k != "family"}}
-    command = parser._subparsers._group_actions[0].choices[ns.command]
     options = {a.dest: a for a in command._actions if a.dest not in ("help", "config")}
     for key, value in data.items():
         action = options.get(key.replace("-", "_"))
@@ -454,37 +453,20 @@ _COMMON = {"map": {"choices": MAP_CHOICES, "default": "F3"},
            "seed": {"type": int, "default": 0}, "json-out": {}}
 
 
-def _command(sub, name: str, func, common: str, summary: str) -> argparse.ArgumentParser:
-    """A subcommand with --config and the ``common`` options of ``_COMMON``."""
-    p = sub.add_parser(name, help=summary, allow_abbrev=False)
-    p.set_defaults(func=func)
-    p.add_argument("--config", help="JSON file overriding the flags")
-    for option in common.split():
-        p.add_argument(f"--{option}", **_COMMON[option])
-    return p
-
-
-def _add_orbit_options(parser: argparse.ArgumentParser) -> None:
+def _budget_options(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--max-iter", type=int, default=100_000)
     parser.add_argument("--eps", type=float, default=1e-3)
     parser.add_argument("--escape", type=float, default=10.0)
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(prog="shearbasins", description=__doc__)
-    sub = parser.add_subparsers(dest="command", required=True)
-    jet_options = "map a b c k order json-out"
-    _command(sub, "expand", cmd_expand, jet_options, "print a truncated expansion")
-    _command(sub, "verify", cmd_verify, "a b c seed json-out", "run the full verification suite")
-    _command(sub, "directions", cmd_directions, jet_options, "characteristic directions and directors")
-
-    p = _command(sub, "orbit", cmd_orbit, "map a b c k", "iterate one orbit and dump it as CSV")
+def _orbit_options(p: argparse.ArgumentParser) -> None:
     p.add_argument("--start", default="0.1,0.1,0.05", help="comma-separated complex coordinates")
-    _add_orbit_options(p)
+    _budget_options(p)
     p.add_argument("--stride", type=int, default=1)
     p.add_argument("--out")
 
-    p = _command(sub, "basin", cmd_basin, "map a b c k", "rasterize a basin slice to PGM")
+
+def _basin_options(p: argparse.ArgumentParser) -> None:
     p.add_argument("--slice", type=float, nargs=4, default=(-1.5, 0.5, -1.0, 1.0),
                    metavar=("UMIN", "UMAX", "VMIN", "VMAX"))
     p.add_argument("--res", type=int, nargs=2, default=(200, 200), metavar=("W", "H"))
@@ -494,19 +476,58 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--lift", choices=("none", "pos", "neg"), default="none",
                    help="render through the square-root lift of the pixel value")
     p.add_argument("--w-fix", type=float)
-    _add_orbit_options(p)
+    _budget_options(p)
     p.add_argument("--workers", type=int, default=1)
     p.add_argument("--out", default="basin.pgm")
 
-    _command(sub, "family", cmd_family, "a b k order seed json-out", "build and verify the C^{k+1} family word")
+
+_JET_OPTIONS = "map a b c k order json-out"
+
+# each command: its function, its options of _COMMON, its summary and a
+# function adding its own options after those
+_COMMANDS = {
+    "expand": (cmd_expand, _JET_OPTIONS, "print a truncated expansion", None),
+    "verify": (cmd_verify, "a b c seed json-out", "run the full verification suite", None),
+    "directions": (cmd_directions, _JET_OPTIONS, "characteristic directions and directors", None),
+    "orbit": (cmd_orbit, "map a b c k", "iterate one orbit and dump it as CSV", _orbit_options),
+    "basin": (cmd_basin, "map a b c k", "rasterize a basin slice to PGM", _basin_options),
+    "family": (cmd_family, "a b k order seed json-out", "build and verify the C^{k+1} family word", None),
+}
+
+
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The parser of every command, each listed with its summary.
+
+    Only ``command`` gets --config and its options if it is given, every
+    command otherwise.  ``main`` passes the command it runs, so a call
+    builds the options of one command; the top-level help, usage and
+    errors do not show any command's options and read the same either
+    way.  A command's parser holds itself as the default ``command_parser``.
+    """
+    parser = argparse.ArgumentParser(prog="shearbasins", description=__doc__)
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name, (func, common, summary, own_options) in _COMMANDS.items():
+        p = sub.add_parser(name, help=summary, allow_abbrev=False)
+        if command not in (None, name):
+            continue
+        p.set_defaults(func=func, command_parser=p)
+        p.add_argument("--config", help="JSON file overriding the flags")
+        for option in common.split():
+            p.add_argument(f"--{option}", **_COMMON[option])
+        if own_options:
+            own_options(p)
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
+    # the top-level parser has no option that takes a value, so argparse runs
+    # the first argument that does not start with "-"; without one, no
+    # command runs and none needs its options
+    parser = build_parser(next((arg for arg in argv if not arg.startswith("-")), ""))
     try:
         ns = parser.parse_args(argv)
-        _apply_config_file(ns, parser)
+        _apply_config_file(ns, ns.command_parser)
         return ns.func(ns)
     except SystemExit as exc:  # argparse uses 2 for bad usage already
         return int(exc.code or 0)

@@ -974,11 +974,14 @@ def sample_slice(
     def band(rows_of_band: range) -> list:
         band_codes, band_iters = classify_batch(
             map_obj, spec.start_point(*np.meshgrid(us, [vs[i] for i in rows_of_band])), cfg)
-        # a forked worker pickles its rows back through a pipe: the least dtype that holds max_iter
-        return list(zip(band_codes, band_iters.astype(np.min_scalar_type(cfg.max_iter))))
+        # a forked worker pickles its rows back through a pipe: the least dtype
+        # that holds max_iter, and each row as the two band arrays and its index
+        # in them, so that pickle writes each array once
+        band_iters = band_iters.astype(np.min_scalar_type(cfg.max_iter))
+        return [(band_codes, band_iters, i) for i in range(len(rows_of_band))]
 
-    for row, (row_codes, row_iters) in enumerate(_fork_map(band, range(rows), workers)):
-        codes[row], iters[row] = row_codes, row_iters
+    for row, (band_codes, band_iters, i) in enumerate(_fork_map(band, range(rows), workers)):
+        codes[row], iters[row] = band_codes[i], band_iters[i]
     codes[rows:] = codes[: spec.height - rows][::-1]
     iters[rows:] = iters[: spec.height - rows][::-1]
     return BasinRaster(codes=codes, iterations=iters)

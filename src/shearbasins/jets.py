@@ -54,9 +54,11 @@ class Jet:
     ``Jet(k, order, terms)`` validates every term.  Arithmetic builds its
     results with :meth:`_of` from terms valid by construction (int exponents
     of length k and degree <= order, complex values), and only prunes them.
+    Nothing changes ``terms`` after construction, so :meth:`sorted_terms`
+    sorts them once per jet, on first use.
     """
 
-    __slots__ = ("k", "order", "terms")
+    __slots__ = ("k", "order", "terms", "_sorted")
 
     def __init__(self, k: int, order: int, terms: Mapping[tuple[int, ...], complex] | None = None):
         if k < 1:
@@ -75,11 +77,12 @@ class Jet:
                 raise OrderRangeError(f"monomial {e} has degree {sum(e)} > order {order}")
             clean[e] = complex(c)
         self.k, self.order, self.terms = k, order, Jet._of(k, order, clean).terms
+        self._sorted = None
 
     @classmethod
     def _of(cls, k: int, order: int, terms: dict[tuple[int, ...], complex]) -> "Jet":
         jet = cls.__new__(cls)
-        jet.k, jet.order = k, order
+        jet.k, jet.order, jet._sorted = k, order, None
         try:
             jet.terms = {e: c for e, c in terms.items() if not abs(c) < PRUNE_THRESHOLD}  # nan is kept
         except OverflowError:
@@ -117,8 +120,11 @@ class Jet:
     def coefficient(self, exponents: Sequence[int]) -> complex:
         return self.terms.get(tuple(int(x) for x in exponents), 0j)
 
-    def sorted_terms(self) -> list[tuple[tuple[int, ...], complex]]:
-        return sorted(self.terms.items(), key=lambda item: grlex_key(item[0]))
+    def sorted_terms(self) -> tuple[tuple[tuple[int, ...], complex], ...]:
+        """The terms in graded lexicographic order, sorted on the first call."""
+        if self._sorted is None:
+            self._sorted = tuple(sorted(self.terms.items(), key=lambda item: grlex_key(item[0])))
+        return self._sorted
 
     def l1_norm(self) -> float:
         return sum(abs(c) for c in self.terms.values())

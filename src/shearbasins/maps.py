@@ -35,7 +35,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .jets import DimensionError, DomainError, Jet, JetMap
+from .jets import DimensionError, DomainError, Jet, JetMap, OrderRangeError
 from .report import Report
 
 def _cexp(x: complex) -> complex:
@@ -210,14 +210,16 @@ class MapWord:
     Any k >= 1 is allowed; :func:`planar_word` builds k = 1 words.
 
     The word is compiled from ``_FORMULAS`` into three straight-line
-    functions: the scalar step (``__call__``), compiled with the word, and
-    the numpy batch step (``eval_batch``) and ``advance``, each compiled on
-    first use.  All do the float operations of applying the factors' closed
-    forms one by one, in the same order: the scalar zeta product starts
-    from (1+0j), weights enter as the float-complex products a * w and
-    -a * w, _cexp turns overflow into inf, and the twist's total is
-    sum(weights) from int 0.  A zeta product is reused only across factors
-    that leave every z_i unchanged.  The scalar step calls cmath.exp
+    functions, each on first use: the scalar step (``__call__`` and
+    ``jet``), the numpy batch step (``eval_batch``) and ``advance``.  A
+    word that is only built, such as the F3 word behind ``directions --map
+    G``, compiles nothing; a forked worker compiles what the parent never
+    ran, once per worker.  All do the float operations of applying the
+    factors' closed forms one by one, in the same order: the scalar zeta
+    product starts from (1+0j), weights enter as the float-complex products
+    a * w and -a * w, _cexp turns overflow into inf, and the twist's total
+    is sum(weights) from int 0.  A zeta product is reused only across
+    factors that leave every z_i unchanged.  The scalar step calls cmath.exp
     directly; only when it raises (overflow, or an infinite argument) does
     ``__call__`` rerun the step with _cexp, which returns cmath.exp's value
     wherever that returns.
@@ -255,7 +257,8 @@ class MapWord:
     only by addition or subtraction: numpy's in-place complex product
     rounds differently on one-element arrays.  It runs inside np.errstate,
     so overflow gives inf or nan without a RuntimeWarning.  Equality,
-    hashing and pickling use ``factors`` only; unpickling compiles again.
+    hashing and pickling use ``factors`` only; an unpickled word compiles
+    again, on first use.
     """
 
     factors: tuple[ElementaryMap, ...]
@@ -265,7 +268,10 @@ class MapWord:
             raise DimensionError("a map word needs at least one factor")
         if len({f.dim for f in self.factors}) != 1 or self.dim < 2:
             raise DimensionError("all factors must act on the same space C^{k+1}, k >= 1")
-        object.__setattr__(self, "_step", _compile(self.factors, "step"))
+
+    @cached_property
+    def _step(self):
+        return _compile(self.factors, "step")
 
     @cached_property
     def _batch(self):
@@ -467,13 +473,17 @@ def verify_normal_form(
     ideal z_i * (zeta^2, zeta w).  For the w-component: unit linear
     coefficient, zeta w coefficient equals -b, and the remainder lies in
     w * (zeta^2, zeta w) + (zeta^3).  A nan or infinite coefficient fails
-    the check it belongs to.
+    the check it belongs to.  The zeta*z_i and zeta*w terms have degree
+    k + 1, so a jet of lower order raises ``OrderRangeError``.
     """
     k = len(weights)
     n = k + 1
     if jet_map.k != n or jet_map.arity_out != n:
         raise DimensionError(f"expected a self-map of C^{n}")
     order = jet_map.order
+    if order < n:
+        raise OrderRangeError(f"the normal form reads the degree-{n} terms zeta*z_i and zeta*w: "
+                              f"need order >= {n} (k + 1), got {order}")
     tol = 1e-12
     report = Report(title="normal form")
 

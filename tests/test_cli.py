@@ -592,6 +592,16 @@ def test_family_outside_regime_notes_it(capsys):
     assert "outside the chosen regime" in out
 
 
+@pytest.mark.parametrize("k", [2, 3])
+def test_family_order_below_k_plus_one_is_exit_two(capsys, k):
+    """The claims read the degree-(k + 1) coefficients of zeta*z_i and zeta*w."""
+    code, out, err = run(capsys, "family", "--k", str(k), "--order", str(k))
+    assert (code, out) == (2, "")
+    assert f"need order >= {k + 1} (k + 1), got {k}" in err
+    code, out, _ = run(capsys, "family", "--k", str(k), "--order", str(k + 1))
+    assert code == 0 and "all checks pass" in out
+
+
 # ----------------------------------------------------------------------
 # config file override
 
@@ -790,3 +800,55 @@ def test_config_values_pass_through_the_option_types(tmp_path, capsys):
 def test_missing_config_file_is_exit_two(capsys):
     code, _, err = run(capsys, "expand", "--config", "/nonexistent/conf.json")
     assert code == 2
+
+
+# ----------------------------------------------------------------------
+# argument parsing
+
+COMMANDS = ("expand", "verify", "directions", "orbit", "basin", "family")
+
+
+def subparsers(parser):
+    """The command parsers of ``parser``, by name."""
+    (action,) = (a for a in parser._actions if a.dest == "command")
+    return action.choices
+
+
+def option_strings(parser):
+    return [a.option_strings for a in parser._actions]
+
+
+@pytest.mark.parametrize("argv", [["-h"], [], ["nope"], *([c, "-h"] for c in COMMANDS),
+                                  *([c, "--no-such-option"] for c in COMMANDS)])
+def test_main_prints_what_the_full_parser_prints(monkeypatch, capsys, argv):
+    """Help, usage and errors of ``main``, which builds only the options of
+    the command it runs, are those of a parser with every command's options."""
+    monkeypatch.setenv("COLUMNS", "80")
+    got = run(capsys, *argv)
+    with pytest.raises(SystemExit) as exit_info:
+        cli.build_parser().parse_args(argv)
+    out = capsys.readouterr()
+    assert got == (int(exit_info.value.code or 0), out.out, out.err)
+    assert got[0] == (0 if "-h" in argv else 2) and got[1] + got[2]
+
+
+@pytest.mark.parametrize("argv", [[], ["-h"], ["nope"], ["expand", "--order", "2"],
+                                  *([c, "-h"] for c in COMMANDS)])
+def test_main_adds_no_option_to_another_command(monkeypatch, capsys, argv):
+    """``main([command, ...])`` gives ``command`` the options the full parser
+    gives it and every other command only -h, so a call builds one command's
+    options.  Without a known command no command gets options."""
+    full = subparsers(cli.build_parser())
+    built = []
+    build_parser = cli.build_parser
+
+    def recording(*args):
+        built.append(build_parser(*args))
+        return built[-1]
+
+    monkeypatch.setattr(cli, "build_parser", recording)
+    run(capsys, *argv)
+    (parser,) = built
+    for name, command in subparsers(parser).items():
+        want = option_strings(full[name]) if argv[:1] == [name] else [["-h", "--help"]]
+        assert option_strings(command) == want, name

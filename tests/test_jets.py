@@ -322,6 +322,28 @@ def test_arithmetic_results_keep_the_constructor_invariants(pair):
         assert_valid_result(r)
 
 
+def grlex_sorted(jet):
+    return tuple(sorted(jet.terms.items(), key=lambda item: grlex_key(item[0])))
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=300)
+@given(same_space_jets())
+def test_sorted_terms_is_sorted_once_and_matches_a_fresh_sort(pair):
+    """Every result of +, -, x, scalar x, exp, derivative and homogeneous_part
+    lists its terms in graded lexicographic order, sorted on the first call
+    and the same object after; an operand's order stays as it was."""
+    f, g = pair
+    before = f.sorted_terms(), g.sorted_terms()
+    results = [f + g, f - g, -f, f * g, f * 0.75, 1.5 * f, f / -0.25]
+    results.append(Jet(f.k, f.order, {e: c for e, c in f.terms.items() if sum(e)}).exp())
+    results += [f.derivative(i) for i in range(f.k)]
+    results += [f.homogeneous_part(d) for d in range(f.order + 1)]
+    for r in (f, g, *results):
+        assert r.sorted_terms() == grlex_sorted(r)
+        assert r.sorted_terms() is r.sorted_terms()
+    assert (f.sorted_terms(), g.sorted_terms()) == before
+
+
 def test_arithmetic_makes_no_public_constructor_calls(monkeypatch):
     rng = random.Random(16)
     exponents = [e for e in itertools.product(range(9), repeat=3) if sum(e) <= 8]

@@ -536,11 +536,16 @@ def test_pushforward_jet_is_the_pushed_forward_word_jet():
 
 
 def test_batch_step_and_advance_loop_compile_on_first_use():
+    compiled = {"_step", "_batch", "advance"}
     word = build_F(Params(1.0, 1.0, 3.0))
-    assert "_batch" not in vars(word) and "advance" not in vars(word)
+    assert not compiled & set(vars(word))
     word.eval_batch([np.array([0.1j])] * 3)
-    assert "_batch" in vars(word) and "advance" not in vars(word)
-    assert "_batch" not in vars(pickle.loads(pickle.dumps(word)))
+    assert compiled & set(vars(word)) == {"_batch"}
+    assert not compiled & set(vars(pickle.loads(pickle.dumps(word))))
+    for use in (lambda w: w((0.1j,) * 3), lambda w: w.jet(2)):
+        fresh = pickle.loads(pickle.dumps(word))
+        use(fresh)
+        assert compiled & set(vars(fresh)) == {"_step"}
 
 
 def test_word_and_pushforward_survive_pickle():

@@ -20,9 +20,9 @@ a window closes.  Its arrays hold only undecided elements, one map
 evaluation per pixel-iteration.  Both take start points from
 ``SliceSpec.start_point`` and norms from ``_norm``'s formula; only numpy's
 complex product separates them.
-``iterate`` takes a MapWord's steps from its compiled ``advance`` loop,
-which hands back each step that the gate, a window close or a record index
-concerns; any other evaluator it calls once per step.
+``iterate`` takes a package map's steps, a word's or a prototype's, from its
+compiled ``advance`` loop, which hands back each step that the gate, a window
+close or a record index concerns; any other evaluator it calls once per step.
 """
 
 from __future__ import annotations
@@ -42,7 +42,7 @@ import numpy as np
 
 from .directions import DEGENERATE_TOL
 from .jets import DimensionError, DomainError
-from .maps import MapWord, Prototype, planar_word, project_pi, push_forward
+from .maps import MapWord, Prototype, _worst, planar_word, project_pi, push_forward
 from .report import SKIP, Report
 
 CONVERGED = "converged"
@@ -142,12 +142,12 @@ def iterate(evaluator: Callable, p0: Sequence[complex], cfg: OrbitConfig | None 
 
     Every iterate participates in the status decision; only every
     record_stride-th point (plus the final one) is stored.  At a stride
-    above 1, an evaluator with an ``advance`` loop (a MapWord) runs there
+    above 1, a package map (word or prototype) runs in its ``advance`` loop
     every step that neither the gate of ``_rule`` nor a window close nor a
     record index concerns; the step that does comes back here, and a step
     whose exponential raises is taken by ``evaluator(p)``, the one call per
-    step of any other evaluator and the reference the tests compare
-    ``advance`` against.
+    step of a plain callable, a wrong dimension or stride 1, and the
+    reference the tests compare ``advance`` against.
     """
     cfg = cfg or OrbitConfig()
     p = tuple(complex(x) for x in p0)
@@ -284,7 +284,7 @@ def check_semiconjugacy(word: MapWord, rng=None) -> Report:
     pushed, own = push_forward(word.jet(8)), planar.jet(4)
     pairs = [(f.coefficient(e), g.coefficient(e)) for f, g in zip(pushed.components, own.components)
              for e in f.terms.keys() | g.terms.keys()]
-    jet_defect = float(np.max([abs(x - y) / max(abs(x), abs(y)) for x, y in pairs], initial=0.0))
+    jet_defect = _worst(0.0, *(abs(x - y) / max(abs(x), abs(y)) for x, y in pairs))
     report.add("jet", jet_defect <= 1e-12, defect=jet_defect, tolerance=1e-12,
                note="push_forward of the order-8 jet against the order-4 jet, relative per coefficient")
     return report

@@ -20,17 +20,18 @@ so the projection (z, w) -> (zeta, w) semi-conjugates the word to its
 zeta-word :func:`planar_word`, for k = 2 the planar map G.  Its check is
 :func:`push_forward` (G's jet from the word's jet); :func:`eval_pushforward`
 (G through a square-root lift) is only the tests' reference.  Each closed form
-is written once, in ``_FORMULAS``; a :class:`MapWord` compiles its factors
-into one scalar step, for complex points and jets alike, and one batch step.
+is written once, a factor's in ``_FORMULAS``, a prototype's in ``_PROTOTYPES``,
+and ``_compile`` alone makes code of it: for every package map one scalar step
+(points and jets), one batch step and the ``advance`` loop ``iterate`` runs.
 """
 
 from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from enum import Enum
-from functools import cached_property
+from functools import cache, cached_property
 from typing import Sequence
 
 import numpy as np
@@ -100,19 +101,191 @@ _FORMULAS = {
 }
 
 
-def _compile(factors: Sequence[ElementaryMap], kind: str):
-    """The word ``factors`` compiled as ``kind``: "step", "advance" or "batch" (see MapWord)."""
-    zs = [f"z{i}" for i in range(len(factors[0].weights))]
-    xs = [*zs, "w"]
-    coords = ", ".join(xs)
+# The prototypes' closed forms as statements on (w,) and (z0, w), for complex
+# scalars, jets and numpy arrays alike; a is the quadratic's coefficient.
+_PROTOTYPES = {
+    "quadratic_1d": ["w = w + a * w * w"],
+    "product_2d": ["f = 1 + 0.5 * z0 * w", "z0 = z0 * f", "w = w * f"],
+}
+
+
+def _compile(xs: Sequence[str], statements, kind: str):
+    """The map on coordinates ``xs`` whose closed form ``statements(batch, namespace)``
+    writes, compiled as ``kind``: "step", "advance" or "batch" (see _ClosedForm)."""
+    coords = ", ".join(xs)  # each unpacking target ends in a comma, so that (w,) unpacks
     namespace = {"cmath": cmath, "math": math, "np": np, "DimensionError": DimensionError}
 
     def body(batch: bool, indent: str) -> str:
+        return "".join(f"\n{indent}{line}" for line in statements(batch, namespace))
+
+    if kind == "step":
+        source = f"""
+def step(p, exp=cmath.exp, convert=complex):
+    try:
+        {coords}, = p
+    except ValueError:
+        raise DimensionError(f"point has {{len(p)}} coordinates, expected {len(xs)}") from None
+    {coords}, = {", ".join(f"convert({x})" for x in xs)},{body(False, "    ")}
+    return ({coords},)
+"""
+    elif kind == "advance":
+        # _norm's sum: each coordinate's two squares, then the coordinates left to right
+        last = "".join(f"\n            last_{x} = {x}" for x in xs)
+        norm = " + ".join(f"({x}.real * {x}.real + {x}.imag * {x}.imag)" for x in xs)
+        lasts = ", ".join(f"last_{x}" for x in xs)
+        source = f"""
+def advance(p, n, stop, eps, radius, block):
+    exp, sqrt = cmath.exp, math.sqrt
+    if len(p) != {len(xs)}:
+        return p, None, n, block, None
+    {coords}, = p
+    try:
+        while True:{last}
+            n += 1{body(False, "            ")}
+            nrm = sqrt({norm})
+            if n == stop or not eps <= nrm <= radius or {xs[0]}.real == last_{xs[0]}.real:
+                return ({lasts},), ({coords},), n, block, nrm
+            if nrm > block:
+                block = nrm
+    except (OverflowError, ValueError):
+        return ({lasts},), None, n - 1, block, None
+"""
+    else:
+        source = f"""
+def batch(coords):
+    {coords}, = coords
+    with np.errstate(over="ignore", invalid="ignore", under="ignore"):{body(True, "        ")}
+    return [{coords}]
+"""
+    exec(source, namespace)
+    return namespace[kind]
+
+
+class _ClosedForm:
+    """A map whose ``_statements(batch, namespace)`` write its closed form as
+    straight-line code on (z0, ..., w): the one base of MapWord and Prototype.
+
+    ``_compile`` builds from them, each on first use, the scalar step
+    (``__call__`` and ``jet``), the numpy batch step (``eval_batch``) and
+    ``advance``; a forked worker compiles what the parent never ran, once
+    per worker.  The scalar step calls cmath.exp directly; only when it
+    raises (overflow, or an infinite argument) does ``__call__`` rerun the
+    step with _cexp, which returns cmath.exp's value wherever that returns.
+    Its exponential and its coordinate conversion are parameters, cmath.exp
+    and complex by default, for ``jet`` alone, which runs the step on Jet
+    variables with Jet.exp and no conversion, one truncated product at a
+    time.  They are not user options.
+
+    ``advance(p, n, stop, eps, radius, block)`` is ``iterate``'s loop of
+    scalar steps from the complex point p of index n.  It keeps the
+    coordinates in locals, with no conversion and no tuple per step, adds
+    each step's norm into the block maximum ``block`` as ``iterate`` does,
+    and writes ``_norm``'s sum inline.  It returns (point before, point,
+    index, block, norm of the point) at the first step whose norm lies
+    outside [eps, radius] or is nan, or whose first coordinate's real part
+    did not change (every stationary step), and at index ``stop``; before
+    a step whose cmath.exp raises it returns (point, None, index, block,
+    None), and that step goes through ``__call__``.
+
+    The batch step runs inside np.errstate, so overflow gives inf or nan
+    without a RuntimeWarning.  Equality, hashing and pickling use the
+    dataclass fields only; an unpickled map compiles again, on first use.
+    """
+
+    @property
+    def _coords(self) -> list[str]:
+        return [*(f"z{i}" for i in range(self.dim - 1)), "w"]
+
+    _step = cached_property(lambda self: _compile(self._coords, self._statements, "step"))
+    _batch = cached_property(lambda self: _compile(self._coords, self._statements, "batch"))
+    advance = cached_property(lambda self: _compile(self._coords, self._statements, "advance"))
+
+    def __reduce__(self):
+        return (type(self), tuple(getattr(self, f.name) for f in fields(self)))
+
+    def __call__(self, p: Sequence[complex]) -> tuple[complex, ...]:
+        try:
+            return self._step(p)
+        except (OverflowError, ValueError):
+            return self._step(p, _cexp)
+
+    def eval_batch(self, coords: list[np.ndarray]) -> list[np.ndarray]:
+        return self._batch(coords)
+
+    def jet(self, order: int) -> JetMap:
+        xs = [Jet.variable(self.dim, order, i) for i in range(self.dim)]
+        jet = JetMap(self._step(xs, Jet.exp, lambda x: x))
+        if not all(cmath.isfinite(c) for comp in jet.components for c in comp.terms.values()):
+            raise DomainError(f"the order-{order} jet overflows: a coefficient is not finite")
+        return jet
+
+
+@dataclass(frozen=True)
+class ElementaryMap:
+    """One factor of a word (kind, z-weights, w-coefficient); ``MapWord((f,))`` evaluates it."""
+
+    kind: ElementaryKind
+    weights: tuple[float, ...]
+    w_coeff: float
+
+    @property
+    def dim(self) -> int:
+        return len(self.weights) + 1
+
+    def inverse(self) -> "ElementaryMap":
+        return ElementaryMap(_INVERSE_KIND[self.kind], self.weights, self.w_coeff)
+
+
+@dataclass(frozen=True)
+class MapWord(_ClosedForm):
+    """Composition word; ``factors[0]`` is applied last, ``factors[-1]`` first.
+
+    Any k >= 1 is allowed; :func:`planar_word` builds k = 1 words.
+
+    Its statements do the float operations of applying the factors' closed
+    forms from ``_FORMULAS`` one by one, in the same order: the scalar zeta
+    product starts from (1+0j), weights enter as the float-complex products
+    a * w and -a * w, _cexp turns overflow into inf, and the twist's total
+    is sum(weights) from int 0.  A zeta product is reused only across
+    factors that leave every z_i unchanged.  A word that is only built,
+    such as the F3 word behind ``directions --map G``, compiles nothing.
+
+    Each factor takes one exponential per distinct weight, shared by the
+    z_i of that weight and named e before any product uses it: with equal
+    weights the exponentials are equal bit for bit, so computing one is
+    enough.  Weights count as equal only when bitwise equal (so -0.0 and
+    0.0 differ, and a nan weight shares with none).  Every batch product
+    is written coordinate * e.  Were e a nameless temporary, numpy would
+    reuse it as the product's buffer on arrays of 16 384 elements or more
+    and compute e * coordinate instead; its complex product fuses
+    multiply-adds and is not bitwise commutative, so the bits would depend
+    on the batch size.
+
+    The batch step takes arrays of one or more dimensions and never writes
+    into them.  It updates in place only arrays it allocated itself, and
+    only by addition or subtraction: numpy's in-place complex product
+    rounds differently on one-element arrays.
+    """
+
+    factors: tuple[ElementaryMap, ...]
+
+    def __post_init__(self):
+        if not self.factors:
+            raise DimensionError("a map word needs at least one factor")
+        if len({f.dim for f in self.factors}) != 1 or self.dim < 2:
+            raise DimensionError("all factors must act on the same space C^{k+1}, k >= 1")
+
+    @property
+    def dim(self) -> int:
+        return self.factors[0].dim
+
+    def _statements(self, batch: bool, namespace: dict) -> list[str]:
         # owned: the arrays this batch step allocated, the only ones it adds
         # or subtracts into; it never multiplies in place, because numpy's
         # in-place complex product rounds differently on one-element arrays
+        zs = self._coords[:-1]
         lines, owned, zeta_valid = [], set(), False
-        for j, factor in enumerate(reversed(factors)):
+        for j, factor in enumerate(reversed(self.factors)):
             exponent, updates = _FORMULAS[factor.kind]
             total = sum(factor.weights)
             namespace.update({f"rate{j}": total + factor.w_coeff, f"total{j}": total})
@@ -142,160 +315,7 @@ def _compile(factors: Sequence[ElementaryMap], kind: str):
                         else:
                             lines.append(f"{x} = {x} {op} {y}")
                             owned.add(x)
-        return "".join(f"\n{indent}{line}" for line in lines)
-
-    if kind == "step":
-        source = f"""
-def step(p, exp=cmath.exp, convert=complex):
-    try:
-        {coords} = p
-    except ValueError:
-        raise DimensionError(f"point has {{len(p)}} coordinates, expected {len(xs)}") from None
-    {coords} = {", ".join(f"convert({x})" for x in xs)}{body(False, "    ")}
-    return ({coords},)
-"""
-    elif kind == "advance":
-        # _norm's sum: each coordinate's two squares, then the coordinates left to right
-        last = "".join(f"\n            last_{x} = {x}" for x in xs)
-        norm = " + ".join(f"({x}.real * {x}.real + {x}.imag * {x}.imag)" for x in xs)
-        lasts = ", ".join(f"last_{x}" for x in xs)
-        source = f"""
-def advance(p, n, stop, eps, radius, block):
-    exp, sqrt = cmath.exp, math.sqrt
-    if len(p) != {len(xs)}:
-        return p, None, n, block, None
-    {coords} = p
-    try:
-        while True:{last}
-            n += 1{body(False, "            ")}
-            nrm = sqrt({norm})
-            if n == stop or not eps <= nrm <= radius or z0.real == last_z0.real:
-                return ({lasts},), ({coords},), n, block, nrm
-            if nrm > block:
-                block = nrm
-    except (OverflowError, ValueError):
-        return ({lasts},), None, n - 1, block, None
-"""
-    else:
-        source = f"""
-def batch(coords):
-    {coords} = coords
-    with np.errstate(over="ignore", invalid="ignore", under="ignore"):{body(True, "        ")}
-    return [{coords}]
-"""
-    exec(source, namespace)
-    return namespace[kind]
-
-
-@dataclass(frozen=True)
-class ElementaryMap:
-    """One factor of a word (kind, z-weights, w-coefficient); ``MapWord((f,))`` evaluates it."""
-
-    kind: ElementaryKind
-    weights: tuple[float, ...]
-    w_coeff: float
-
-    @property
-    def dim(self) -> int:
-        return len(self.weights) + 1
-
-    def inverse(self) -> "ElementaryMap":
-        return ElementaryMap(_INVERSE_KIND[self.kind], self.weights, self.w_coeff)
-
-
-@dataclass(frozen=True)
-class MapWord:
-    """Composition word; ``factors[0]`` is applied last, ``factors[-1]`` first.
-
-    Any k >= 1 is allowed; :func:`planar_word` builds k = 1 words.
-
-    The word is compiled from ``_FORMULAS`` into three straight-line
-    functions, each on first use: the scalar step (``__call__`` and
-    ``jet``), the numpy batch step (``eval_batch``) and ``advance``.  A
-    word that is only built, such as the F3 word behind ``directions --map
-    G``, compiles nothing; a forked worker compiles what the parent never
-    ran, once per worker.  All do the float operations of applying the
-    factors' closed forms one by one, in the same order: the scalar zeta
-    product starts from (1+0j), weights enter as the float-complex products
-    a * w and -a * w, _cexp turns overflow into inf, and the twist's total
-    is sum(weights) from int 0.  A zeta product is reused only across
-    factors that leave every z_i unchanged.  The scalar step calls cmath.exp
-    directly; only when it raises (overflow, or an infinite argument) does
-    ``__call__`` rerun the step with _cexp, which returns cmath.exp's value
-    wherever that returns.
-
-    ``advance(p, n, stop, eps, radius, block)`` is ``iterate``'s loop of
-    scalar steps from the complex point p of index n.  It keeps the
-    coordinates in locals, with no conversion and no tuple per step, adds
-    each step's norm into the block maximum ``block`` as ``iterate`` does,
-    and writes ``_norm``'s sum inline.  It returns (point before, point,
-    index, block, norm of the point) at the first step whose norm lies
-    outside [eps, radius] or is nan, or whose first coordinate's real part
-    did not change (every stationary step), and at index ``stop``; before
-    a step whose cmath.exp raises it returns (point, None, index, block,
-    None), and that step goes through ``__call__``.
-
-    The scalar step also serves jets: its exponential and its coordinate
-    conversion are parameters, cmath.exp and complex by default, and
-    ``jet`` runs it on Jet variables with Jet.exp and no conversion, so a
-    word's jet is the whole word evaluated on jets, one truncated product
-    at a time.  They exist for that one caller and are not user options.
-
-    Each factor takes one exponential per distinct weight, shared by the
-    z_i of that weight and named e before any product uses it: with equal
-    weights the exponentials are equal bit for bit, so computing one is
-    enough.  Weights count as equal only when bitwise equal (so -0.0 and
-    0.0 differ, and a nan weight shares with none).  Every batch product
-    is written coordinate * e.  Were e a nameless temporary, numpy would
-    reuse it as the product's buffer on arrays of 16 384 elements or more
-    and compute e * coordinate instead; its complex product fuses
-    multiply-adds and is not bitwise commutative, so the bits would depend
-    on the batch size.
-
-    The batch step takes arrays of one or more dimensions and never writes
-    into them.  It updates in place only arrays it allocated itself, and
-    only by addition or subtraction: numpy's in-place complex product
-    rounds differently on one-element arrays.  It runs inside np.errstate,
-    so overflow gives inf or nan without a RuntimeWarning.  Equality,
-    hashing and pickling use ``factors`` only; an unpickled word compiles
-    again, on first use.
-    """
-
-    factors: tuple[ElementaryMap, ...]
-
-    def __post_init__(self):
-        if not self.factors:
-            raise DimensionError("a map word needs at least one factor")
-        if len({f.dim for f in self.factors}) != 1 or self.dim < 2:
-            raise DimensionError("all factors must act on the same space C^{k+1}, k >= 1")
-
-    @cached_property
-    def _step(self):
-        return _compile(self.factors, "step")
-
-    @cached_property
-    def _batch(self):
-        return _compile(self.factors, "batch")
-
-    @cached_property
-    def advance(self):
-        return _compile(self.factors, "advance")
-
-    def __reduce__(self):
-        return (MapWord, (self.factors,))
-
-    @property
-    def dim(self) -> int:
-        return self.factors[0].dim
-
-    def __call__(self, p: Sequence[complex]) -> tuple[complex, ...]:
-        try:
-            return self._step(p)
-        except (OverflowError, ValueError):
-            return self._step(p, _cexp)
-
-    def eval_batch(self, coords: list[np.ndarray]) -> list[np.ndarray]:
-        return self._batch(coords)
+        return lines
 
     def inverse(self) -> "MapWord":
         return MapWord(tuple(f.inverse() for f in reversed(self.factors)))
@@ -304,12 +324,6 @@ class MapWord:
         """Word for other o self."""
         return MapWord(other.factors + self.factors)
 
-    def jet(self, order: int) -> JetMap:
-        xs = [Jet.variable(self.dim, order, i) for i in range(self.dim)]
-        jet = JetMap(self._step(xs, Jet.exp, lambda x: x))
-        if not all(cmath.isfinite(c) for comp in jet.components for c in comp.terms.values()):
-            raise DomainError(f"the order-{order} jet overflows: a coefficient is not finite")
-        return jet
 
 
 def build_family(k: int, weights: Sequence[float], w_coeff: float) -> MapWord:
@@ -343,9 +357,12 @@ def build_F(params: Params) -> MapWord:
     return build_family(2, (params.a, params.b), params.c)
 
 
+@cache
 def planar_word(word: MapWord) -> MapWord:
     """The map ``word`` induces on (zeta, w), for F3 the map G: the same
-    factors, each with the single weight sum(f.weights) that its twist uses."""
+    factors, each with the single weight sum(f.weights) that its twist uses.
+    One word's planar word is built once per process, so its checks share
+    its compiled code."""
     return MapWord(tuple(ElementaryMap(f.kind, (sum(f.weights),), f.w_coeff) for f in word.factors))
 
 
@@ -407,14 +424,14 @@ def eval_pushforward(word: MapWord, q: Sequence[complex]) -> tuple[complex, comp
 
 
 @dataclass(frozen=True)
-class Prototype:
-    """Non-automorphism model maps: the 1D quadratic and the 2D product map."""
+class Prototype(_ClosedForm):
+    """Non-automorphism model maps: the 1D quadratic and the 2D product map (``_PROTOTYPES``)."""
 
     kind: str  # "quadratic_1d" | "product_2d"
     a: float = 1.0
 
     def __post_init__(self):
-        if self.kind not in ("quadratic_1d", "product_2d"):
+        if self.kind not in _PROTOTYPES:
             raise ValueError(f"unknown prototype kind {self.kind!r}")
         if not math.isfinite(self.a):
             raise DomainError("the prototype coefficient must be finite")
@@ -425,26 +442,9 @@ class Prototype:
     def dim(self) -> int:
         return 1 if self.kind == "quadratic_1d" else 2
 
-    def __call__(self, p: Sequence[complex]) -> tuple[complex, ...]:
-        if len(p) != self.dim:
-            raise DimensionError(f"point has {len(p)} coordinates, expected {self.dim}")
-        return tuple(self._formula([complex(x) for x in p]))
-
-    def eval_batch(self, coords: list[np.ndarray]) -> list[np.ndarray]:
-        with np.errstate(over="ignore", invalid="ignore", under="ignore"):
-            return self._formula(coords)
-
-    def jet(self, order: int) -> JetMap:
-        return JetMap(self._formula([Jet.variable(self.dim, order, i) for i in range(self.dim)]))
-
-    def _formula(self, coords: list) -> list:
-        """The closed form on complex scalars, numpy arrays or jets."""
-        if self.kind == "quadratic_1d":
-            (z,) = coords
-            return [z + self.a * z * z]
-        z, w = coords
-        factor = 1 + 0.5 * z * w
-        return [z * factor, w * factor]
+    def _statements(self, batch: bool, namespace: dict) -> list[str]:
+        namespace["a"] = self.a
+        return _PROTOTYPES[self.kind]
 
 
 # ----------------------------------------------------------------------

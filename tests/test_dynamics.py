@@ -51,9 +51,10 @@ from shearbasins.dynamics import (
     write_orbit_csv,
     write_pgm,
 )
-from shearbasins.jets import DimensionError
+from shearbasins.jets import DimensionError, Jet, JetMap
 from shearbasins.maps import (
     ElementaryKind, ElementaryMap, MapWord, Params, Prototype, build_F, build_family, planar_word,
+    push_forward,
 )
 
 P113 = Params(1.0, 1.0, 3.0)
@@ -181,17 +182,21 @@ ADVANCE_WORDS = {
     "FAMILY_K": build_family(3, (1.0, 1.0, 1.0), 4.0),
     "F3(0.1,0.7,3.3)": build_F(Params(0.1, 0.7, 3.3)),
     "FAMILY_K(0.1,0.7,3.3)": build_family(3, (0.1, 0.7, 3.3), 4.0),
+    "PROTO_1D": QUAD,
+    "PROTO_1D(-2.5)": Prototype("quadratic_1d", -2.5),
+    "PROTO_2D": Prototype("product_2d"),
 }
 
 
 @pytest.mark.parametrize("stride", [1, 7, 100, 10_000])
 @pytest.mark.parametrize("name", ADVANCE_WORDS)
 def test_compiled_step_loop_gives_the_per_step_orbit(name, stride, monkeypatch):
-    """iterate on a word, which runs its compiled ``advance`` loop at strides
-    above 1, records the points, indices and status of the per-step path,
-    which calls the word once per step.  The starts converge, stay undecided, escape, sit on
+    """iterate on a package map, which runs its compiled ``advance`` loop at
+    strides above 1, records the points, indices and status of the per-step
+    path, which calls the map once per step.  The starts converge, stay undecided, escape, sit on
     the fixed plane z = 0, have a nan norm, or, under an escape radius of
-    1e300, overflow cmath.exp so that the step falls back to _cexp."""
+    1e300, overflow a word's cmath.exp so that the step falls back to _cexp;
+    a prototype has no exponential, so it never falls back."""
     word = ADVANCE_WORDS[name]
     rng = random.Random(word.dim)
     starts = [dynamics.sample_ball_point(rng, word.dim, 0.4) for _ in range(4)]
@@ -205,7 +210,7 @@ def test_compiled_step_loop_gives_the_per_step_orbit(name, stride, monkeypatch):
             compiled, per_step = iterate(word, p, cfg), iterate(lambda q: word(q), p, cfg)
             assert repr(compiled.points) == repr(per_step.points), (radius, p)
             assert (compiled.indices, compiled.status) == (per_step.indices, per_step.status), (radius, p)
-    assert fallbacks
+    assert bool(fallbacks) == isinstance(word, MapWord)
 
 
 def test_iterate_rejects_points_of_the_wrong_dimension():
@@ -278,6 +283,20 @@ def test_semiconjugacy_check_fails_for_a_mutated_weight(monkeypatch):
     monkeypatch.setattr(dynamics, "planar_word", lambda w: mutated)
     report = check_semiconjugacy(word)
     assert not report["pointwise"].ok and not report["jet"].ok
+
+
+def test_semiconjugacy_jet_row_fails_on_a_nan_coefficient(monkeypatch):
+    """One nan coefficient in the pushed jet makes the jet row's defect nan,
+    and the row fails: its maximum is taken by maps._worst, as max() would
+    drop a nan that does not come first."""
+    def pushed_with_a_nan(jet_map):
+        f, g = push_forward(jet_map).components
+        return JetMap([f + Jet(2, f.order, {(1, 0): math.nan}), g])
+
+    monkeypatch.setattr(dynamics, "push_forward", pushed_with_a_nan)
+    report = check_semiconjugacy(build_F(P113), rng=random.Random(0))
+    assert report["pointwise"].ok
+    assert math.isnan(report["jet"].defect) and not report["jet"].ok
 
 
 def test_equivariance_check_passes():
